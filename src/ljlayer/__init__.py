@@ -10,73 +10,53 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .analysis import (
-    Scores,
-    ScoreReport,
-    SpectralStats,
-    band_mean,
-    distance_score,
-    distance_score_filtered,
-    increment_report,
-    peak_radius,
-    periodogram,
-    radial_stats,
-    write_periodogram_pgm,
-    write_profile_csv,
-)
-from .core import (
-    LjParams,
-    Schedule,
-    clamp_distance,
-    dt_adaptive,
-    dt_exponential,
-    lj_force,
-    lj_potential,
-    lj_step,
-)
-from .geometry import (
-    MeshProjector,
-    Projection,
-    TriangleMesh,
-    closest_point,
-    icosphere,
-    load_obj,
-    noise_score,
-    normalize_mesh,
-    point_normal,
-    project_points,
-    read_xyz,
-    save_obj,
-    write_xyz,
-)
-from .metrics import EUCLIDEAN, PERIODIC_UNIT, Metric, get_metric
-from .neighbors import (
-    SpatialIndex,
-    build_index,
-    k_nearest,
-    k_nearest_all,
-    nearest,
-    nearest_all,
-    nearest_normal_filtered,
-    nearest_normal_filtered_all,
-)
+from .analysis import distance_score, periodogram, radial_stats
+from .core import LjParams, Schedule, lj_step
+from .geometry import MeshProjector, TriangleMesh, icosphere, load_obj, noise_score, normalize_mesh
+from .metrics import EUCLIDEAN, PERIODIC_UNIT, Metric
+from .neighbors import build_index, k_nearest_all, nearest_all
 from .pipelines import (
     Boundary,
     EmbedConfig,
-    MeshSurface,
     RefineWindow,
     RunReport,
     SurfaceRefiner,
-    UnitSphere,
     bluenoise_2d,
     embed_compare,
     embed_refine,
     redistribute_on_mesh,
-    run_embedded,
     run_sweep,
-    sigma_prime,
-    toy_refiner,
-    write_sweep_csv,
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "Boundary",
+    "EUCLIDEAN",
+    "EmbedConfig",
+    "LjParams",
+    "MeshProjector",
+    "Metric",
+    "PERIODIC_UNIT",
+    "RefineWindow",
+    "RunReport",
+    "Schedule",
+    "SurfaceRefiner",
+    "TriangleMesh",
+    "bluenoise_2d",
+    "build_index",
+    "distance_score",
+    "embed_compare",
+    "embed_refine",
+    "icosphere",
+    "k_nearest_all",
+    "lj_step",
+    "load_obj",
+    "nearest_all",
+    "noise_score",
+    "normalize_mesh",
+    "periodogram",
+    "radial_stats",
+    "redistribute_on_mesh",
+    "run_sweep",
+]

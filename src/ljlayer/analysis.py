@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EUCLIDEAN, get_metric
-from .neighbors import build_index, nearest_all, nearest_normal_filtered_all
+from .neighbors import build_index, nearest_all
 
 __all__ = [
     "SpectralStats",
     "Scores",
     "ScoreReport",
     "distance_score",
-    "distance_score_filtered",
     "periodogram",
     "radial_stats",
     "peak_radius",
@@ -42,22 +41,6 @@ def distance_score(cloud, metric=EUCLIDEAN) -> float:
         raise ValueError("distance_score needs at least 2 points")
     nn = nearest_all(build_index(x, metric))
     return float(metric.distance(x, x[nn]).mean())
-
-
-def distance_score_filtered(cloud, normals, theta_max: float = np.pi / 4) -> float:
-    """Mean distance to the nearest neighbor whose normal lies within theta_max.
-
-    Points with no qualifying neighbor are left out of the mean entirely.
-    """
-    x = np.asarray(cloud, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("distance_score_filtered needs at least 2 points")
-    nn = nearest_normal_filtered_all(x, normals, theta_max)
-    ok = nn >= 0
-    if not ok.any():
-        raise ValueError("no point has a neighbor within the normal-angle gate")
-    d = np.sqrt(((x[ok] - x[nn[ok]]) ** 2).sum(axis=1))
-    return float(d.mean())
 
 
 def periodogram(cloud, fmax: int = 128):

@@ -36,6 +36,32 @@ def _emit(summary: dict) -> int:
     return 0
 
 
+def _relax_command(args, n, pipeline, *inputs):
+    """Run bluenoise_2d or redistribute_on_mesh from the flags the two share.
+
+    Writes --out and --report; returns (cloud, report, summary) with the
+    shared flags and results already in the summary.
+    """
+    sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
+    params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
+    schedule = Schedule(alpha=args.alpha, beta=args.beta)
+    cloud, report = pipeline(*inputs, params, schedule,
+                             tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    if args.out:
+        geometry.write_xyz(cloud, args.out)
+    if args.report:
+        _write_run_report(report, args.report)
+    summary = {
+        "command": args.command, "n": int(n), "seed": args.seed,
+        "epsilon": args.epsilon, "sigma": sigma, "sigma_mult": args.sigma_mult,
+        "alpha": args.alpha, "beta": args.beta, "k": args.k,
+        "tol": args.tol, "max_iter": args.max_iter,
+        "iterations": report.iterations, "final_max_disp": report.final_max_disp,
+        "cloud": args.cloud, "out": args.out, "report": args.report,
+    }
+    return cloud, report, summary
+
+
 def _cmd_bluenoise(args) -> int:
     if args.cloud is not None:
         cloud_or_n = geometry.read_xyz(args.cloud)
@@ -44,35 +70,14 @@ def _cmd_bluenoise(args) -> int:
         cloud_or_n = args.n
         n = args.n
     boundary = pipelines.Boundary(args.boundary)
-    params = None
-    sigma = None
-    if n >= 2:
-        sigma = pipelines.sigma_prime(n) * args.sigma_mult
-        params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k)
-    schedule = Schedule(alpha=args.alpha, beta=args.beta)
-    cloud, report = pipelines.bluenoise_2d(
-        cloud_or_n, boundary, params, schedule,
-        tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-    )
-    if args.out:
-        geometry.write_xyz(cloud, args.out)
-    if args.report:
-        _write_run_report(report, args.report)
+    cloud, report, summary = _relax_command(args, n, pipelines.bluenoise_2d, cloud_or_n, boundary)
     final_score = None
     if report.iterations > 0:
         final_score = float(report.distance_trace[-1])
     elif n >= 2:
         final_score = analysis.distance_score(cloud, boundary.metric)
-    return _emit({
-        "command": "bluenoise",
-        "n": int(n), "seed": args.seed, "boundary": args.boundary,
-        "epsilon": args.epsilon, "sigma": sigma, "sigma_mult": args.sigma_mult,
-        "alpha": args.alpha, "beta": args.beta, "k": args.k,
-        "tol": args.tol, "max_iter": args.max_iter,
-        "iterations": report.iterations, "final_max_disp": report.final_max_disp,
-        "distance_score": final_score,
-        "cloud": args.cloud, "out": args.out, "report": args.report,
-    })
+    summary.update({"boundary": args.boundary, "distance_score": final_score})
+    return _emit(summary)
 
 
 def _cmd_redistribute(args) -> int:
@@ -81,35 +86,25 @@ def _cmd_redistribute(args) -> int:
         cloud0 = geometry.read_xyz(args.cloud)
     else:
         cloud0 = np.random.default_rng(args.seed).uniform(-1.0, 1.0, (args.n, 3))
-    n = cloud0.shape[0]
-    sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
-    params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
-    schedule = Schedule(alpha=args.alpha, beta=args.beta)
-    cloud, report = pipelines.redistribute_on_mesh(
-        cloud0, mesh, params, schedule,
-        tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-    )
-    if args.out:
-        geometry.write_xyz(cloud, args.out)
-    if args.report:
-        _write_run_report(report, args.report)
-    return _emit({
-        "command": "redistribute",
-        "n": int(n), "seed": args.seed, "mesh": args.mesh,
-        "epsilon": args.epsilon, "sigma": sigma, "sigma_mult": args.sigma_mult,
-        "alpha": args.alpha, "beta": args.beta, "k": args.k,
-        "tol": args.tol, "max_iter": args.max_iter,
-        "iterations": report.iterations, "final_max_disp": report.final_max_disp,
+    _, report, summary = _relax_command(args, cloud0.shape[0], pipelines.redistribute_on_mesh,
+                                        cloud0, mesh)
+    summary.update({
+        "mesh": args.mesh,
         "distance_score": float(report.distance_trace[-1]) if report.iterations else None,
         "noise_score": float(report.noise_trace[-1]) if report.iterations else None,
-        "cloud": args.cloud, "out": args.out, "report": args.report,
     })
+    return _emit(summary)
+
+
+def _window_flags(args):
+    """--ss and --tprime, each defaulting to RefineWindow.default_window(--t)."""
+    window = pipelines.RefineWindow.default_window(args.t)
+    return (window.start if args.ss is None else args.ss,
+            window.stop if args.tprime is None else args.tprime)
 
 
 def _embed_config(args) -> pipelines.EmbedConfig:
-    window = pipelines.RefineWindow.default_window(args.t)
-    ss = args.ss if args.ss is not None else window.start
-    tprime = args.tprime if args.tprime is not None else window.stop
+    ss, tprime = _window_flags(args)
     return pipelines.EmbedConfig(
         n=args.n, total=args.t, start=ss, stop=tprime,
         alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
@@ -208,12 +203,9 @@ def _cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     seeds = list(range(args.seeds))
-    base = pipelines.EmbedConfig(
-        n=args.n, total=args.t,
-        start=args.ss if args.ss is not None else pipelines.RefineWindow.default_window(args.t).start,
-        stop=args.tprime if args.tprime is not None else pipelines.RefineWindow.default_window(args.t).stop,
-        alpha=args.alpha, beta=args.beta, noise_decay=args.noise_decay,
-    )
+    ss, tprime = _window_flags(args)
+    base = pipelines.EmbedConfig(n=args.n, total=args.t, start=ss, stop=tprime,
+                                 alpha=args.alpha, beta=args.beta, noise_decay=args.noise_decay)
     rows = pipelines.run_sweep(args.axis, values, seeds, base)
     pipelines.write_sweep_csv(rows, args.out)
     return _emit({
@@ -222,6 +214,21 @@ def _cmd_sweep(args) -> int:
         "n": base.n, "t": base.total, "ss": base.start, "tprime": base.stop,
         "alpha": base.alpha, "beta": base.beta, "noise_decay": base.noise_decay,
     })
+
+
+def _add_relax_flags(p, n_default: int, sigma_mult_default: float):
+    p.add_argument("--n", type=int, default=n_default)
+    p.add_argument("--cloud", default=None, help="initial cloud (.xyz) instead of --n")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma-mult", type=float, default=sigma_mult_default)
+    p.add_argument("--epsilon", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--beta", type=float, default=0.01)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--out", default=None, help="output cloud (.xyz)")
+    p.add_argument("--report", default=None, help="run report (.json)")
 
 
 def _add_embed_flags(p, alpha_default: float):
@@ -242,35 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bluenoise", help="rearrange 2D points into a blue-noise set")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--cloud", default=None, help="initial cloud (.xyz) instead of --n")
+    _add_relax_flags(p, n_default=1024, sigma_mult_default=1.0)
     p.add_argument("--boundary", choices=("periodic", "fixed", "none"), default="periodic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-mult", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--out", default=None, help="output cloud (.xyz)")
-    p.add_argument("--report", default=None, help="run report (.json)")
     p.set_defaults(func=_cmd_bluenoise)
 
     p = sub.add_parser("redistribute", help="spread points evenly over a mesh surface")
     p.add_argument("--mesh", required=True, help="target mesh (.obj), normalized on load")
-    p.add_argument("--n", type=int, default=3000)
-    p.add_argument("--cloud", default=None, help="initial cloud (.xyz) instead of --n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-mult", type=float, default=5.0)
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
+    _add_relax_flags(p, n_default=3000, sigma_mult_default=5.0)
     p.set_defaults(func=_cmd_redistribute)
 
     p = sub.add_parser("embed", help="run the toy refiner with embedded pair dynamics")

@@ -54,10 +54,10 @@ class LjParams:
     attraction: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be a finite number > 0, got {self.sigma}")
         if not 0 < self.clamp_lo_factor < self.clamp_hi_factor:
             raise ValueError("need 0 < clamp_lo_factor < clamp_hi_factor, got "
                              f"{self.clamp_lo_factor}, {self.clamp_hi_factor}")
@@ -77,10 +77,10 @@ class Schedule:
     kind: str = "exponential"
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be a finite number >= 0, got {self.beta}")
         if self.kind not in ("exponential", "adaptive"):
             raise ValueError(f"kind must be 'exponential' or 'adaptive', got {self.kind!r}")
 

@@ -17,7 +17,6 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "TriangleMesh",
-    "Projection",
     "MeshProjector",
     "load_obj",
     "save_obj",
@@ -25,9 +24,6 @@ __all__ = [
     "write_xyz",
     "normalize_mesh",
     "icosphere",
-    "closest_point",
-    "project_points",
-    "point_normal",
     "noise_score",
 ]
 
@@ -71,15 +67,6 @@ class TriangleMesh:
         tri = self.vertices[self.faces]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         return 0.5 * np.sqrt((cross * cross).sum(axis=1))
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Result of a closest-point query: surface point, winning face, distance."""
-
-    point: np.ndarray
-    face: int
-    distance: float
 
 
 def load_obj(path) -> TriangleMesh:
@@ -290,22 +277,6 @@ class MeshProjector:
         first[1:] = qid[order][1:] != qid[order][:-1]
         win = order[first]
         return cp[win], fid[win], np.sqrt(d2[win])
-
-
-def project_points(mesh: TriangleMesh, points):
-    return MeshProjector(mesh).project(points)
-
-
-def closest_point(mesh: TriangleMesh, point) -> Projection:
-    """Globally nearest surface point; equidistant faces resolve to the lowest index."""
-    q = np.asarray(point, dtype=float).reshape(1, 3)
-    pts, fids, dists = MeshProjector(mesh).project(q)
-    return Projection(point=pts[0], face=int(fids[0]), distance=float(dists[0]))
-
-
-def point_normal(mesh: TriangleMesh, projection: Projection):
-    """Flat-shading normal: the unit normal of the projection's winning face."""
-    return mesh.face_normals[projection.face]
 
 
 def noise_score(cloud, mesh: TriangleMesh) -> float:

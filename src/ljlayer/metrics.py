@@ -18,10 +18,6 @@ __all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric"]
 class Metric:
     periodic: bool = False
 
-    @property
-    def name(self) -> str:
-        return "periodic" if self.periodic else "euclidean"
-
     def delta(self, diff):
         """Map raw coordinate differences to the representative displacement.
 
@@ -44,7 +40,9 @@ class Metric:
         """Fold coordinates into the fundamental domain [0, 1) when periodic."""
         points = np.asarray(points, dtype=float)
         if self.periodic:
-            return np.mod(points, 1.0)
+            # np.mod rounds tiny negative coordinates up to exactly 1.0
+            points = np.mod(points, 1.0)
+            return np.where(points == 1.0, 0.0, points)
         return points
 
 

@@ -11,24 +11,19 @@ query.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree, distance
+from scipy.spatial import cKDTree
 
 from .metrics import EUCLIDEAN, Metric, get_metric
 
 __all__ = [
     "SpatialIndex",
     "build_index",
-    "nearest",
-    "k_nearest",
     "nearest_all",
     "k_nearest_all",
-    "nearest_normal_filtered",
-    "nearest_normal_filtered_all",
 ]
 
 _EXTRA = 8          # candidates fetched beyond k+1 before resorting to a ball query
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
-_UNIT_TOL = 1e-6    # allowed deviation of normal vectors from unit length
 
 
 class SpatialIndex:
@@ -58,10 +53,6 @@ class SpatialIndex:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 def build_index(cloud, metric="euclidean") -> SpatialIndex:
     return SpatialIndex(cloud, get_metric(metric))
@@ -84,11 +75,12 @@ def _ball_exact(index: SpatialIndex, i: int, k: int, radius: float):
     cand = cand[0]
     return cand[cand != i][:k]
 
-def _k_nearest_rows(index: SpatialIndex, rows, k: int):
+
+def _k_nearest(index: SpatialIndex, k: int):
     n = index.n
     if int(k) != k or not 1 <= k <= n - 1:
         raise ValueError(f"k must be an integer in [1, {n - 1}], got {k}")
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.arange(n)
     m = min(n, k + 1 + _EXTRA)
     d_tree, cand = index._tree.query(index._query_points[rows], k=m)
     if cand.max() >= n:
@@ -111,76 +103,16 @@ def _k_nearest_rows(index: SpatialIndex, rows, k: int):
     return sel
 
 
-def nearest(index: SpatialIndex, i: int) -> int:
-    """Index of the nearest other point; distance ties go to the lowest index."""
-    if index.n < 2:
-        raise ValueError("nearest-neighbor query needs at least 2 points")
-    if not 0 <= i < index.n:
-        raise ValueError(f"point index {i} out of range for {index.n} points")
-    return int(_k_nearest_rows(index, [i], 1)[0, 0])
-
-
-def k_nearest(index: SpatialIndex, i: int, k: int):
-    """The k nearest other points, ascending by distance then by index."""
-    if not 0 <= i < index.n:
-        raise ValueError(f"point index {i} out of range for {index.n} points")
-    return _k_nearest_rows(index, [i], k)[0]
-
-
 def nearest_all(index: SpatialIndex):
-    """nearest() for every point at once; shape (n,)."""
+    """Nearest other point of every point; shape (n,).
+
+    Distance ties go to the lowest index.
+    """
     if index.n < 2:
         raise ValueError("nearest-neighbor query needs at least 2 points")
-    return _k_nearest_rows(index, np.arange(index.n), 1)[:, 0]
+    return _k_nearest(index, 1)[:, 0]
 
 
 def k_nearest_all(index: SpatialIndex, k: int):
-    """k_nearest() for every point at once; shape (n, k)."""
-    return _k_nearest_rows(index, np.arange(index.n), k)
-
-
-def _check_normals(cloud, normals):
-    x = np.asarray(cloud, dtype=float)
-    nrm = np.asarray(normals, dtype=float)
-    if nrm.shape != x.shape:
-        raise ValueError(f"normals shape {nrm.shape} does not match cloud shape {x.shape}")
-    lengths = np.sqrt((nrm * nrm).sum(axis=1))
-    if np.any(np.abs(lengths - 1.0) > _UNIT_TOL):
-        raise ValueError("normals must be unit length")
-    return x, nrm
-
-
-def nearest_normal_filtered(cloud, normals, i: int, theta_max: float):
-    """Nearest point whose normal is within theta_max of normals[i], or None.
-
-    The angle test is strict (angle < theta_max); candidates failing it are
-    ignored entirely, so the returned point may be farther than the plain
-    nearest neighbor.  Euclidean metric.
-    """
-    x, nrm = _check_normals(cloud, normals)
-    if not 0 <= i < len(x):
-        raise ValueError(f"point index {i} out of range for {len(x)} points")
-    if not 0 < theta_max <= np.pi:
-        raise ValueError(f"theta_max must be in (0, pi], got {theta_max}")
-    ang = np.arccos(np.clip(nrm @ nrm[i], -1.0, 1.0))
-    d2 = ((x - x[i]) ** 2).sum(axis=1)
-    d2[i] = np.inf
-    d2[ang >= theta_max] = np.inf
-    j = int(np.argmin(d2))                 # argmin takes the first (lowest) index on ties
-    return None if np.isinf(d2[j]) else j
-
-
-def nearest_normal_filtered_all(cloud, normals, theta_max: float):
-    """Vectorized nearest_normal_filtered for every point; -1 where none qualifies."""
-    x, nrm = _check_normals(cloud, normals)
-    if not 0 < theta_max <= np.pi:
-        raise ValueError(f"theta_max must be in (0, pi], got {theta_max}")
-    if len(x) < 2:
-        raise ValueError("filtered nearest-neighbor query needs at least 2 points")
-    d2 = distance.cdist(x, x, "sqeuclidean")
-    ang = np.arccos(np.clip(nrm @ nrm.T, -1.0, 1.0))
-    d2[ang >= theta_max] = np.inf
-    np.fill_diagonal(d2, np.inf)
-    out = np.argmin(d2, axis=1).astype(np.intp)
-    out[np.isinf(d2[np.arange(len(x)), out])] = -1
-    return out
+    """The k nearest other points of every point, ascending by distance then index; shape (n, k)."""
+    return _k_nearest(index, k)

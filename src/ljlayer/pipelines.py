@@ -44,7 +44,6 @@ __all__ = [
     "bluenoise_2d",
     "redistribute_on_mesh",
     "embed_refine",
-    "toy_refiner",
     "run_embedded",
     "embed_compare",
     "run_sweep",
@@ -83,9 +82,7 @@ class Boundary:
     def apply(self, points):
         if self.kind == "fixed":
             return np.clip(points, 0.0, 1.0)
-        if self.kind == "periodic":
-            return np.mod(points, 1.0)
-        return points
+        return self.metric.wrap(points)
 
 
 @dataclass(frozen=True)
@@ -170,17 +167,60 @@ def sigma_prime(n: int) -> float:
     return math.sqrt(2.0 / (math.sqrt(3.0) * n))
 
 
-def _as_cloud_or_count(cloud_or_n, dim: int):
-    if isinstance(cloud_or_n, (int, np.integer)):
-        if cloud_or_n < 1:
-            raise ValueError(f"point count must be >= 1, got {cloud_or_n}")
-        return None, int(cloud_or_n)
-    x = np.array(cloud_or_n, dtype=float, copy=True)
+def _as_cloud(cloud, dim: int):
+    x = np.array(cloud, dtype=float, copy=True)
     if x.ndim != 2 or x.shape[1] != dim or x.shape[0] < 1:
         raise ValueError(f"initial cloud must have shape (n, {dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("initial cloud contains non-finite coordinates")
-    return x, x.shape[0]
+    return x
+
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+
+
+def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
+    """Defaults and checks shared by the exponential-schedule pipelines."""
+    if params is None:
+        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
+    if schedule is None:
+        schedule = Schedule(alpha=0.5, beta=0.01)
+    if schedule.kind != "exponential":
+        raise ValueError(f"{name} uses the exponential decay schedule")
+    if params.k > n - 1:
+        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    return params, schedule
+
+
+def _relax(cloud, move, metric, k: int, steps, tol: float, seed, noise=None, entry_pairs=True):
+    """The relaxation loop of every pipeline; returns (cloud, RunReport).
+
+    Each step t replaces the cloud by move(t, cloud, pairs), where pairs is
+    the exact k-nearest-neighbor table of the current cloud (None on the first
+    step when entry_pairs is False).  The table is rebuilt once on every new
+    cloud; its first column gives the distance trace, and noise(cloud), when
+    given, the noise trace.  The loop stops after the first step whose
+    largest per-point displacement under the metric falls below tol.
+    """
+    pairs = k_nearest_all(build_index(cloud, metric), k) if entry_pairs else None
+    trace_d: list[float] = []
+    trace_n: list[float] = []
+    disp = 0.0
+    for t in steps:
+        new = move(t, cloud, pairs)
+        disp = float(np.sqrt((metric.delta(new - cloud) ** 2).sum(axis=1)).max())
+        cloud = new
+        pairs = k_nearest_all(build_index(cloud, metric), k)
+        trace_d.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
+        if noise is not None:
+            trace_n.append(noise(cloud))
+        if disp < tol:
+            break
+    report = RunReport(len(trace_d), disp, seed, np.array(trace_d),
+                       None if noise is None else np.array(trace_n))
+    return cloud, report
 
 
 def bluenoise_2d(
@@ -202,46 +242,27 @@ def bluenoise_2d(
     """
     if boundary is None:
         boundary = Boundary.periodic()
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _check_tol(tol)
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     rng = np.random.default_rng(seed)
-    cloud, n = _as_cloud_or_count(cloud_or_n, 2)
-    if cloud is None:
-        cloud = rng.random((n, 2))
+    if isinstance(cloud_or_n, (int, np.integer)):
+        if cloud_or_n < 1:
+            raise ValueError(f"point count must be >= 1, got {cloud_or_n}")
+        cloud = rng.random((int(cloud_or_n), 2))
+    else:
+        cloud = _as_cloud(cloud_or_n, 2)
+    n = len(cloud)
     if n == 1:
         # no neighbor exists, nothing can move
-        report = RunReport(0, 0.0, seed, np.empty(0))
-        return cloud, report
-    if params is None:
-        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
-    if schedule is None:
-        schedule = Schedule(alpha=0.5, beta=0.01)
-    if schedule.kind != "exponential":
-        raise ValueError("bluenoise_2d uses the exponential decay schedule")
-    if params.k > n - 1:
-        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
-
+        return cloud, RunReport(0, 0.0, seed, np.empty(0))
+    params, schedule = _lj_setup("bluenoise_2d", n, params, schedule, sigma_multiplier)
     metric = boundary.metric
-    cloud = boundary.apply(cloud)
-    pairs = k_nearest_all(build_index(cloud, metric), params.k)
-    trace: list[float] = []
-    iterations = 0
-    final_disp = 0.0
-    for t in range(max_iter):
-        moved = lj_step(cloud, pairs, dt_exponential(t, schedule), params, metric, rng)
-        new = boundary.apply(moved)
-        disp = float(np.sqrt((metric.delta(new - cloud) ** 2).sum(axis=1)).max())
-        cloud = new
-        iterations += 1
-        final_disp = disp
-        pairs = k_nearest_all(build_index(cloud, metric), params.k)
-        trace.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
-        if disp < tol:
-            break
-    report = RunReport(iterations, final_disp, seed, np.array(trace))
-    return cloud, report
+
+    def move(t, cloud, pairs):
+        return boundary.apply(lj_step(cloud, pairs, dt_exponential(t, schedule), params, metric, rng))
+
+    return _relax(boundary.apply(cloud), move, metric, params.k, range(max_iter), tol, seed)
 
 
 _GATE_COS = math.cos(math.pi / 4.0)
@@ -266,51 +287,32 @@ def redistribute_on_mesh(
     the moved points back to the surface.  Gated-out points keep their exact
     coordinates for the iteration.  Returns (cloud, RunReport).
     """
-    x0, n = _as_cloud_or_count(cloud0, 3)
-    if x0 is None or n < 2:
-        raise ValueError("redistribute_on_mesh needs an explicit cloud with >= 2 points")
+    x0 = _as_cloud(cloud0, 3)
+    n = len(x0)
+    if n < 2:
+        raise ValueError("redistribute_on_mesh needs at least 2 points")
     if np.abs(mesh.vertices).max() > 1.0 + 1e-9:
         raise ValueError("mesh must be normalized to [-1, 1]^3 (see normalize_mesh)")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if params is None:
-        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
-    if schedule is None:
-        schedule = Schedule(alpha=0.5, beta=0.01)
-    if schedule.kind != "exponential":
-        raise ValueError("redistribute_on_mesh uses the exponential decay schedule")
-    if params.k > n - 1:
-        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    _check_tol(tol)
+    params, schedule = _lj_setup("redistribute_on_mesh", n, params, schedule, sigma_multiplier)
 
     rng = np.random.default_rng(seed)
     projector = MeshProjector(mesh)
     cloud, faces, _ = projector.project(x0)
-    pairs = k_nearest_all(build_index(cloud, EUCLIDEAN), params.k)
-    trace_d: list[float] = []
-    trace_n: list[float] = []
-    iterations = 0
-    final_disp = 0.0
-    for t in range(max_iter):
+
+    def move(t, cloud, pairs):
         normals = mesh.face_normals[faces]
         gate = (normals * normals[pairs[:, 0]]).sum(axis=1) > _GATE_COS
         stepped = lj_step(cloud, pairs, dt_exponential(t, schedule), params, EUCLIDEAN, rng)
         new = np.where(gate[:, None], stepped, cloud)
         if gate.any():
-            pts, fids, _ = projector.project(new[gate])
-            new[gate] = pts
-            faces = faces.copy()
-            faces[gate] = fids
-        disp = float(np.sqrt(((new - cloud) ** 2).sum(axis=1)).max())
-        cloud = new
-        iterations += 1
-        final_disp = disp
-        pairs = k_nearest_all(build_index(cloud, EUCLIDEAN), params.k)
-        trace_d.append(float(EUCLIDEAN.distance(cloud, cloud[pairs[:, 0]]).mean()))
-        trace_n.append(float(projector.project(cloud)[2].mean()))
-        if disp < tol:
-            break
-    report = RunReport(iterations, final_disp, seed, np.array(trace_d), np.array(trace_n))
-    return cloud, report
+            new[gate], faces[gate], _ = projector.project(new[gate])
+        return new
+
+    def noise(cloud):
+        return float(projector.project(cloud)[2].mean())
+
+    return _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed, noise)
 
 
 class UnitSphere:
@@ -355,8 +357,8 @@ class SurfaceRefiner:
                  decay: float = 0.9, seed: int = 0):
         if not 0.0 < pull <= 1.0:
             raise ValueError(f"pull must be in (0, 1], got {pull}")
-        if noise0 < 0.0:
-            raise ValueError(f"noise0 must be >= 0, got {noise0}")
+        if not (math.isfinite(noise0) and noise0 >= 0.0):
+            raise ValueError(f"noise0 must be a finite number >= 0, got {noise0}")
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.surface = surface if surface is not None else UnitSphere()
@@ -373,16 +375,9 @@ class SurfaceRefiner:
         return out
 
 
-def toy_refiner(target=None, pull: float = 0.2, noise0: float = 0.05,
-                decay: float = 0.9, seed: int = 0) -> SurfaceRefiner:
-    """Refiner onto a TriangleMesh target, or the implicit unit sphere when None."""
-    surface = MeshSurface(target) if isinstance(target, TriangleMesh) else target
-    return SurfaceRefiner(surface, pull=pull, noise0=noise0, decay=decay, seed=seed)
-
-
 def embed_refine(
     refiner,
-    cloud_or_n,
+    cloud0,
     window: RefineWindow,
     params: LjParams | None = None,
     alpha: float = 2.5,
@@ -392,19 +387,17 @@ def embed_refine(
 ):
     """Run a refiner for window.total steps, embedding pair dynamics inside the window.
 
-    Each step t first applies the refiner.  For window.start <= t <=
-    window.stop one pair-dynamics step follows, its step size set by
-    dt_adaptive(i, d) where i = t - window.start + 1 counts steps inside the
-    window and d is the largest per-point displacement the refiner just
-    produced.  Steps after the window run the refiner alone.  An int
-    cloud_or_n draws a Gaussian init (scaled 0.5) from a seed-derived stream.
+    Each step t first applies the refiner to the (n, 3) cloud.  For
+    window.start <= t <= window.stop one pair-dynamics step follows, its step
+    size set by dt_adaptive(i, d) where i = t - window.start + 1 counts steps
+    inside the window and d is the largest per-point displacement the refiner
+    just produced.  Steps after the window run the refiner alone.
     Returns (cloud, RunReport).
     """
-    cloud, n = _as_cloud_or_count(cloud_or_n, 3)
+    cloud = _as_cloud(cloud0, 3)
+    n = len(cloud)
     if n < 2:
         raise ValueError("embed_refine needs at least 2 points")
-    if cloud is None:
-        cloud = 0.5 * np.random.default_rng((seed, 0)).standard_normal((n, 3))
     if params is None:
         params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
     if params.k > n - 1:
@@ -413,11 +406,7 @@ def embed_refine(
     rng = np.random.default_rng(seed)
     surface = getattr(refiner, "surface", None)
 
-    trace_d: list[float] = []
-    trace_n: list[float] = []
-    final_disp = 0.0
-    for t in range(1, window.total + 1):
-        prev = cloud
+    def move(t, prev, _):
         cloud = np.asarray(refiner.step(t, prev), dtype=float)
         if cloud.shape != prev.shape:
             raise ValueError(f"refiner changed the cloud shape: {prev.shape} -> {cloud.shape}")
@@ -427,18 +416,14 @@ def embed_refine(
             if dt > 0.0:
                 pairs = k_nearest_all(build_index(cloud, EUCLIDEAN), params.k)
                 cloud = lj_step(cloud, pairs, dt, params, EUCLIDEAN, rng)
-        final_disp = float(np.sqrt(((cloud - prev) ** 2).sum(axis=1)).max())
-        trace_d.append(distance_score(cloud))
-        if surface is not None:
-            trace_n.append(float(surface.distance(cloud).mean()))
-    report = RunReport(
-        iterations=window.total,
-        final_max_disp=final_disp,
-        seed=seed,
-        distance_trace=np.array(trace_d),
-        noise_trace=np.array(trace_n) if surface is not None else None,
-    )
-    return cloud, report
+        return cloud
+
+    def noise(cloud):
+        return float(surface.distance(cloud).mean())
+
+    # move() finds its own pairs, so _relax's table only feeds the trace: k = 1
+    return _relax(cloud, move, EUCLIDEAN, 1, range(1, window.total + 1), 0.0, seed,
+                  noise if surface is not None else None, entry_pairs=False)
 
 
 @dataclass(frozen=True)
@@ -472,6 +457,8 @@ class EmbedConfig:
     def __post_init__(self):
         if self.init not in ("gauss", "noisy_surface"):
             raise ValueError(f"init must be 'gauss' or 'noisy_surface', got {self.init!r}")
+        if not math.isfinite(self.init_jitter):
+            raise ValueError(f"init_jitter must be finite, got {self.init_jitter}")
 
     def window(self) -> RefineWindow:
         if self.start is None or self.stop is None:

@@ -9,7 +9,6 @@ from ljlayer.analysis import (
     SpectralStats,
     band_mean,
     distance_score,
-    distance_score_filtered,
     increment_report,
     peak_radius,
     periodogram,
@@ -167,23 +166,6 @@ def test_distance_score_is_mean_over_points():
     assert distance_score(cloud) == pytest.approx((1.0 + 0.2 + 0.2) / 3)
     with pytest.raises(ValueError):
         distance_score(np.array([[0.0, 0.0]]))
-
-
-def test_filtered_score_skips_gated_points():
-    cloud = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0], [5.1, 0, 0]])
-    nrm = np.array([[0.0, 0, 1], [0.0, 0, 1], [0.0, 0, -1], [0.0, 0, -1]])
-    # both clusters pair internally; the opposite-normal cluster never mixes
-    assert distance_score_filtered(cloud, nrm) == pytest.approx(0.1)
-    lonely = np.array([[0.0, 0, 1], [0.0, 0, -1], [0.0, 0, 1], [0.0, 0, -1]])
-    got = distance_score_filtered(cloud, lonely)  # pairs are now (0,2), (1,3)
-    assert got == pytest.approx(5.0)
-
-
-def test_filtered_score_all_gated_raises():
-    cloud = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    nrm = np.array([[0.0, 0, 1.0], [0.0, 0, -1.0]])
-    with pytest.raises(ValueError):
-        distance_score_filtered(cloud, nrm)
 
 
 # ------------------------------------------------------------------ reports

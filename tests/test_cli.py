@@ -141,6 +141,14 @@ def test_invalid_flag_value_exits_2(capsys):
     assert main(["bluenoise", "--boundary", "spherical"]) == 2
 
 
+def test_non_finite_parameters_exit_2(capsys):
+    # rejected up front, not after a run that turns the cloud non-finite
+    assert main(["bluenoise", "--n", "16", "--beta", "inf"]) == 2
+    assert "beta must be a finite number" in capsys.readouterr().err
+    assert main(["bluenoise", "--n", "16", "--tol", "nan"]) == 2
+    assert "tol must be a finite number" in capsys.readouterr().err
+
+
 def test_invalid_window_exits_2(capsys):
     assert main(["embed", "--t", "100", "--ss", "101", "--tprime", "101"]) == 2
 

@@ -118,6 +118,11 @@ def test_params_validation():
         LjParams(epsilon=0.0)
     with pytest.raises(ValueError):
         LjParams(sigma=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+            LjParams(epsilon=bad)
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
+            LjParams(sigma=bad)
     with pytest.raises(ValueError):
         LjParams(clamp_lo_factor=2.0, clamp_hi_factor=1.0)
     with pytest.raises(ValueError):
@@ -161,6 +166,11 @@ def test_schedule_validation():
         Schedule(alpha=-0.1, beta=0.01)
     with pytest.raises(ValueError):
         Schedule(alpha=1.0, beta=-0.01)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            Schedule(alpha=bad, beta=0.01)
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            Schedule(alpha=1.0, beta=bad)
     with pytest.raises(ValueError):
         Schedule(alpha=1.0, beta=0.0, kind="linear")
 

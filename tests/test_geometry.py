@@ -5,15 +5,11 @@ import pytest
 
 from ljlayer.geometry import (
     MeshProjector,
-    Projection,
     TriangleMesh,
-    closest_point,
     icosphere,
     load_obj,
     noise_score,
     normalize_mesh,
-    point_normal,
-    project_points,
     read_xyz,
     save_obj,
     write_xyz,
@@ -116,21 +112,19 @@ def test_icosphere_rejects_negative_subdivisions():
 def test_plane_interior_projection():
     m = TriangleMesh(np.array([[-5.0, -5, 0], [5.0, -5, 0], [0.0, 5, 0]]),
                      np.array([[0, 1, 2]]))
-    pr = closest_point(m, [0.3, -1.2, 2.5])
-    np.testing.assert_allclose(pr.point, [0.3, -1.2, 0.0], atol=1e-12)
-    assert pr.distance == pytest.approx(2.5)
-    assert pr.face == 0
+    pts, fids, dists = MeshProjector(m).project([[0.3, -1.2, 2.5]])
+    np.testing.assert_allclose(pts[0], [0.3, -1.2, 0.0], atol=1e-12)
+    assert dists[0] == pytest.approx(2.5)
+    assert fids[0] == 0
 
 
 def test_vertex_and_edge_regions():
     tri = TriangleMesh(np.array([[0.0, 0, 0], [2.0, 0, 0], [0.0, 2, 0]]),
                        np.array([[0, 1, 2]]))
-    pr = closest_point(tri, [-1.0, -1.0, 1.0])
-    np.testing.assert_allclose(pr.point, [0.0, 0.0, 0.0], atol=1e-12)  # vertex a
-    pr = closest_point(tri, [1.0, -3.0, 0.0])
-    np.testing.assert_allclose(pr.point, [1.0, 0.0, 0.0], atol=1e-12)  # edge ab
-    pr = closest_point(tri, [3.0, 3.0, 0.0])
-    np.testing.assert_allclose(pr.point, [1.0, 1.0, 0.0], atol=1e-12)  # edge bc
+    pts = MeshProjector(tri).project([[-1.0, -1.0, 1.0], [1.0, -3.0, 0.0], [3.0, 3.0, 0.0]])[0]
+    np.testing.assert_allclose(pts[0], [0.0, 0.0, 0.0], atol=1e-12)  # vertex a
+    np.testing.assert_allclose(pts[1], [1.0, 0.0, 0.0], atol=1e-12)  # edge ab
+    np.testing.assert_allclose(pts[2], [1.0, 1.0, 0.0], atol=1e-12)  # edge bc
 
 
 def test_projection_matches_reference_scan():
@@ -181,9 +175,9 @@ def test_projection_tie_takes_lowest_face():
     v = np.array([[0.0, 0, 1], [0.0, 2, 1], [1.0, 0, 0], [1.0, 2, 0],
                   [-1.0, 0, 0], [-1.0, 2, 0]])
     m = TriangleMesh(v, np.array([[0, 1, 2], [0, 1, 4], [1, 2, 3], [1, 4, 5]]))
-    pr = closest_point(m, [0.0, 1.0, 3.0])
-    assert pr.face == 0
-    np.testing.assert_allclose(pr.point, [0.0, 1.0, 1.0], atol=1e-12)
+    pts, fids, _ = MeshProjector(m).project([[0.0, 1.0, 3.0]])
+    assert fids[0] == 0
+    np.testing.assert_allclose(pts[0], [0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_projection_is_idempotent():
@@ -208,16 +202,6 @@ def test_projection_distance_is_lipschitz():
     dq = proj.project(q)[2]
     step = np.linalg.norm(p - q, axis=1)
     assert (np.abs(dp - dq) <= step + 1e-12).all()
-
-
-def test_project_points_and_normal_helpers():
-    mesh = icosphere(1)
-    pts, fids, dists = project_points(mesh, np.array([[0.0, 0.0, 2.0]]))
-    pr = closest_point(mesh, [0.0, 0.0, 2.0])
-    assert isinstance(pr, Projection)
-    np.testing.assert_array_equal(pr.point, pts[0])
-    assert pr.face == fids[0]
-    np.testing.assert_array_equal(point_normal(mesh, pr), mesh.face_normals[pr.face])
 
 
 def test_projector_rejects_bad_queries():

@@ -2,18 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ljlayer.metrics import EUCLIDEAN, PERIODIC_UNIT
-from ljlayer.neighbors import (
-    SpatialIndex,
-    build_index,
-    k_nearest,
-    k_nearest_all,
-    nearest,
-    nearest_all,
-    nearest_normal_filtered,
-    nearest_normal_filtered_all,
-)
+from ljlayer.neighbors import SpatialIndex, build_index, k_nearest_all, nearest_all
 
 
 def brute_k_nearest(points, metric, k):
@@ -57,8 +50,8 @@ def test_lattice_tie_breaks_to_lowest_index():
     # the origin's four axis neighbors are equidistant; index 1 must win
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     index = build_index(x)
-    assert nearest(index, 0) == 1
-    np.testing.assert_array_equal(k_nearest(index, 0, 4), [1, 2, 3, 4])
+    assert nearest_all(index)[0] == 1
+    np.testing.assert_array_equal(k_nearest_all(index, 4)[0], [1, 2, 3, 4])
 
 
 def test_many_duplicates_force_exhaustive_fallback():
@@ -75,8 +68,8 @@ def test_many_duplicates_force_exhaustive_fallback():
 def test_periodic_wraps_across_the_seam():
     x = np.array([[0.05, 0.5], [0.95, 0.5], [0.5, 0.5]])
     index = SpatialIndex(x, PERIODIC_UNIT)
-    assert nearest(index, 0) == 1  # 0.1 through the seam beats 0.45 direct
-    assert nearest(index, 1) == 0
+    # 0.1 through the seam beats 0.45 direct
+    np.testing.assert_array_equal(k_nearest_all(index, 1)[:2, 0], [1, 0])
 
 
 def test_periodic_accepts_unwrapped_coordinates():
@@ -84,16 +77,6 @@ def test_periodic_accepts_unwrapped_coordinates():
     b = a + np.array([[3.0, -2.0], [-1.0, 5.0]])  # same torus points
     ia, ib = SpatialIndex(a, PERIODIC_UNIT), SpatialIndex(b, PERIODIC_UNIT)
     np.testing.assert_array_equal(nearest_all(ia), nearest_all(ib))
-
-
-def test_single_queries_match_batch():
-    rng = np.random.default_rng(8)
-    x = rng.random((50, 3))
-    index = build_index(x)
-    batch = k_nearest_all(index, 4)
-    for i in (0, 7, 49):
-        assert nearest(index, i) == batch[i, 0]
-        np.testing.assert_array_equal(k_nearest(index, i, 4), batch[i])
 
 
 # --------------------------------------------------------------- validation
@@ -122,11 +105,11 @@ def test_index_validation():
 def test_query_validation():
     index = build_index(np.random.default_rng(2).random((6, 2)))
     with pytest.raises(ValueError):
-        nearest(index, 6)
+        k_nearest_all(index, 0)
     with pytest.raises(ValueError):
-        k_nearest(index, 0, 0)
+        k_nearest_all(index, 1.5)
     with pytest.raises(ValueError):
-        k_nearest(index, 0, 6)  # only 5 other points exist
+        k_nearest_all(index, 6)  # only 5 other points exist
     with pytest.raises(ValueError):
         nearest_all(build_index(np.array([[0.0, 0.0]])))
 
@@ -145,63 +128,10 @@ def test_metric_name_roundtrip():
         build_index(np.zeros((2, 2)), "manhattan")
 
 
-# ------------------------------------------------------- normal-gated query
-
-def _units(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def test_filtered_skips_misaligned_normals():
-    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    nrm = _units([[0, 0, 1], [1, 0, 0], [0, 0, 1]])  # middle normal orthogonal
-    assert nearest_normal_filtered(x, nrm, 0, np.pi / 4) == 2
-    got = nearest_normal_filtered_all(x, nrm, np.pi / 4)
-    np.testing.assert_array_equal(got, [2, -1, 0])
-
-
-def test_filtered_angle_test_is_strict():
-    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    exact45 = np.array([np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4)])
-    nrm = _units([[1, 0, 0], exact45, [1, 0, 0]])
-    # the 45-degree neighbor fails angle < pi/4; the farther aligned one wins
-    assert nearest_normal_filtered(x, nrm, 0, np.pi / 4) == 2
-
-
-def test_filtered_none_when_everything_gated():
-    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    assert nearest_normal_filtered(x, nrm, 0, np.pi / 4) is None
-    np.testing.assert_array_equal(nearest_normal_filtered_all(x, nrm, np.pi / 4), [-1, -1])
-
-
-def test_filtered_wide_angle_matches_plain_nearest():
-    rng = np.random.default_rng(10)
-    x = rng.random((60, 3))
-    nrm = _units(rng.standard_normal((60, 3)))
-    got = nearest_normal_filtered_all(x, nrm, np.pi)
-    # theta_max = pi only excludes exactly antipodal normals; none here
-    np.testing.assert_array_equal(got, nearest_all(build_index(x)))
-
-
-def test_filtered_singles_match_batch():
-    rng = np.random.default_rng(11)
-    x = rng.random((40, 3))
-    nrm = _units(rng.standard_normal((40, 3)))
-    batch = nearest_normal_filtered_all(x, nrm, np.pi / 4)
-    for i in range(40):
-        single = nearest_normal_filtered(x, nrm, i, np.pi / 4)
-        assert (single if single is not None else -1) == batch[i]
-
-
-def test_filtered_validation():
-    x = np.zeros((3, 3))
-    nrm = np.tile([0.0, 0.0, 1.0], (3, 1))
-    with pytest.raises(ValueError):
-        nearest_normal_filtered_all(x, nrm * 2.0, np.pi / 4)  # not unit length
-    with pytest.raises(ValueError):
-        nearest_normal_filtered_all(x, nrm[:2], np.pi / 4)  # shape mismatch
-    with pytest.raises(ValueError):
-        nearest_normal_filtered_all(x, nrm, 0.0)
-    with pytest.raises(ValueError):
-        nearest_normal_filtered(x, nrm, 5, np.pi / 4)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-17)
+def test_periodic_wrap_lands_in_unit_interval(c):
+    # np.mod alone maps tiny negatives such as -1e-17 to exactly 1.0
+    w = PERIODIC_UNIT.wrap(np.array([c, 0.5]))
+    assert ((w >= 0.0) & (w < 1.0)).all()
+    build_index(np.array([[c, 0.5], [0.25, 0.75]]), "periodic")

@@ -22,7 +22,6 @@ from ljlayer.pipelines import (
     run_embedded,
     run_sweep,
     sigma_prime,
-    toy_refiner,
     write_sweep_csv,
 )
 
@@ -63,6 +62,8 @@ def test_boundary_apply():
     np.testing.assert_array_equal(Boundary.fixed().apply(pts), [[0.0, 0.5], [1.0, 0.25]])
     np.testing.assert_allclose(Boundary.periodic().apply(pts), [[0.75, 0.5], [0.5, 0.25]])
     np.testing.assert_array_equal(Boundary.none().apply(pts), pts)
+    # a tiny negative coordinate folds to 0.0, not to 1.0 outside [0, 1)
+    np.testing.assert_array_equal(Boundary.periodic().apply([[-1e-17, 0.5]]), [[0.0, 0.5]])
     assert Boundary.periodic().metric.periodic
     assert not Boundary.fixed().metric.periodic
     with pytest.raises(ValueError):
@@ -185,8 +186,9 @@ def test_bluenoise_validation():
         bluenoise_2d(0)
     with pytest.raises(ValueError):
         bluenoise_2d(10, schedule=Schedule(1.0, 0.0, kind="adaptive"))
-    with pytest.raises(ValueError):
-        bluenoise_2d(10, tol=-1.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            bluenoise_2d(10, tol=tol)
     with pytest.raises(ValueError):
         bluenoise_2d(3, params=LjParams(sigma=0.1, k=5))  # k too large
 
@@ -239,6 +241,8 @@ def test_redistribute_validation(sphere):
         redistribute_on_mesh(np.zeros((1, 3)), sphere)
     with pytest.raises(ValueError):
         redistribute_on_mesh(np.zeros((4, 2)), sphere)
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        redistribute_on_mesh(sphere.vertices[:10], sphere, tol=np.nan)
 
 
 # ----------------------------------------------------------------- surfaces
@@ -289,14 +293,15 @@ def test_refiner_validation():
         SurfaceRefiner(pull=0.0)
     with pytest.raises(ValueError):
         SurfaceRefiner(pull=1.2)
-    with pytest.raises(ValueError):
-        SurfaceRefiner(noise0=-0.1)
+    for noise0 in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise0 must be a finite number"):
+            SurfaceRefiner(noise0=noise0)
     with pytest.raises(ValueError):
         SurfaceRefiner(decay=0.0)
 
 
 def test_toy_refiner_default_run_converges():
-    refiner = toy_refiner()
+    refiner = SurfaceRefiner()
     x = 0.5 * np.random.default_rng(0).standard_normal((50, 3))
     for t in range(1, 101):
         x = refiner.step(t, x)
@@ -304,7 +309,7 @@ def test_toy_refiner_default_run_converges():
 
 
 def test_toy_refiner_accepts_mesh_target(sphere):
-    refiner = toy_refiner(sphere, noise0=0.0, pull=1.0)
+    refiner = SurfaceRefiner(MeshSurface(sphere), noise0=0.0, pull=1.0)
     assert isinstance(refiner.surface, MeshSurface)
     out = refiner.step(1, np.random.default_rng(1).uniform(-1, 1, (5, 3)))
     assert MeshProjector(sphere).project(out)[2].max() < 1e-9
@@ -372,10 +377,13 @@ def test_embed_refine_rejects_shape_changing_refiner():
 
 def test_embed_refine_validation():
     refiner = SurfaceRefiner()
+    cloud10 = np.random.default_rng(0).standard_normal((10, 3))
     with pytest.raises(ValueError):
-        embed_refine(refiner, 1, RefineWindow.disabled(5))
+        embed_refine(refiner, 10, RefineWindow.disabled(5))  # a point count is not a cloud
     with pytest.raises(ValueError):
-        embed_refine(refiner, 10, RefineWindow.disabled(5),
+        embed_refine(refiner, cloud10[:1], RefineWindow.disabled(5))
+    with pytest.raises(ValueError, match="requires at least 41 points"):
+        embed_refine(refiner, cloud10, RefineWindow.disabled(5),
                      params=LjParams(sigma=1.0, k=40))
 
 
@@ -388,6 +396,8 @@ def test_embed_config_window_and_params():
     assert EmbedConfig(start=None, stop=None).window() == RefineWindow.disabled(100)
     with pytest.raises(ValueError):
         EmbedConfig(init="lattice")
+    with pytest.raises(ValueError, match="init_jitter must be finite"):
+        EmbedConfig(init_jitter=np.nan)
     with pytest.raises(ValueError):
         EmbedConfig(start=60, stop=101).window()
 
