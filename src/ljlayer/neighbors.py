@@ -6,6 +6,10 @@ lowest point index wins.  To that end tree candidates are re-scored with the
 same arithmetic a brute-force scan would use, and the rare query whose
 candidate list cannot be proven complete falls back to an exhaustive ball
 query.
+
+`NeighborList` keeps that exact table for a moving cloud without querying the
+tree on every step: it re-scores the candidates of its last query and
+rebuilds only when it can no longer prove the re-scored table exact.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "build_index",
     "nearest_all",
     "k_nearest_all",
+    "NeighborList",
 ]
 
 _EXTRA = 8          # candidates fetched beyond k+1 before resorting to a ball query
@@ -48,6 +53,8 @@ class SpatialIndex:
         else:
             self._query_points = pts
             self._tree = cKDTree(pts)
+        # (tree candidate ids, certificate radius) of the last kNN query; see NeighborList
+        self._candidates = None
 
     @property
     def n(self) -> int:
@@ -61,10 +68,7 @@ def build_index(cloud, metric="euclidean") -> SpatialIndex:
 def _sort_candidates(index: SpatialIndex, rows, cand):
     """Exact squared distances for candidate ids, ordered by (distance, id)."""
     d2 = index.metric.distance2(index.points[rows][:, None, :], index.points[cand])
-    order = np.argsort(cand, axis=1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
-    order = np.argsort(d2, axis=1, kind="stable")       # stable: ties stay id-ascending
+    order = np.lexsort((cand, d2), axis=1)              # ids in a row are unique
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
@@ -87,7 +91,9 @@ def _k_nearest(index: SpatialIndex, k: int):
         # scipy marks unreachable neighbors with index n; with finite inputs
         # that only happens when squared distances overflow
         raise ValueError("neighbor query failed; coordinates are too extreme")
-    cand, d2 = _sort_candidates(index, rows, cand.astype(np.intp))
+    cand = cand.astype(np.intp)
+    index._candidates = (cand, d_tree[:, -1] if m < n else np.full(n, np.inf))
+    cand, d2 = _sort_candidates(index, rows, cand)
 
     keep = cand != rows[:, None]
     front = np.argsort(~keep, axis=1, kind="stable")    # kept columns first, order intact
@@ -116,3 +122,64 @@ def nearest_all(index: SpatialIndex):
 def k_nearest_all(index: SpatialIndex, k: int):
     """The k nearest other points of every point, ascending by distance then index; shape (n, k)."""
     return _k_nearest(index, k)
+
+
+class NeighborList:
+    """Exact k-nearest-neighbor table of a moving cloud (a Verlet neighbor list).
+
+    `update(cloud, moved)` returns what `k_nearest_all(build_index(cloud,
+    metric), k)` returns, bit for bit, given that no point moved farther than
+    `moved` under the metric since the previous call.  A rebuild runs exactly
+    that query and keeps each row's m = min(n, k+1+_EXTRA) tree candidates,
+    sorted by id, and its certificate radius rho_i: the tree distance of the
+    m-th candidate, or inf when every point is a candidate.  Later calls add
+    `moved` to the drift D and re-score only the cached candidates with the
+    query's own arithmetic, in (distance, id) order.  A point outside row i's
+    candidates started at least rho_i away, and both it and point i moved at
+    most D since, so it is still at least rho_i - 2D away (on the torus too).
+    A row whose k-th re-scored distance stays below that, with the tie guard,
+    is therefore exact; when any row is not, the table is rebuilt from the
+    current cloud.  No skin is tuned: each row's slack is its own gap between
+    rho_i and its k-th distance.
+    """
+
+    def __init__(self, metric, k: int):
+        self.metric = get_metric(metric)
+        self.k = k
+        self.rebuilds = 0
+        self._cand = None
+
+    def update(self, cloud, moved: float = 0.0):
+        if self._cand is not None:
+            self._drift += moved
+            # rho_min <= 2D leaves that row no room even at distance 0
+            if 2.0 * self._drift < self._rho_min:
+                pairs = self._rescore(np.asarray(cloud, dtype=float))
+                if pairs is not None:
+                    return pairs
+        return self._rebuild(cloud)
+
+    def _rebuild(self, cloud):
+        index = build_index(cloud, self.metric)
+        pairs = k_nearest_all(index, self.k)
+        cand, self._rho = index._candidates
+        self._cand = np.sort(cand, axis=1)
+        self._own = np.nonzero(self._cand == np.arange(len(cand))[:, None])
+        self._rho_min = self._rho.min()
+        self._drift = 0.0
+        self.rebuilds += 1
+        return pairs
+
+    def _rescore(self, x):
+        d2 = self.metric.distance2(x[:, None, :], x[self._cand])
+        d2[self._own] = np.inf      # a point is not its own neighbor
+        if self.k == 1:
+            # columns ascend by id, so argmin's first minimum is the lowest id
+            cols = np.argmin(d2, axis=1)[:, None]
+        else:
+            cols = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
+        dk = np.sqrt(np.take_along_axis(d2, cols[:, -1:], axis=1)[:, 0])
+        bound = (self._rho - 2.0 * self._drift) * (1.0 - _TIE_GUARD)
+        if not (dk * (1.0 + _TIE_GUARD) < bound).all():
+            return None
+        return np.take_along_axis(self._cand, cols, axis=1)

@@ -30,7 +30,7 @@ from .analysis import Scores, distance_score, increment_report
 from .core import LjParams, Schedule, dt_adaptive, dt_exponential, lj_step
 from .geometry import MeshProjector, TriangleMesh
 from .metrics import EUCLIDEAN, PERIODIC_UNIT
-from .neighbors import build_index, k_nearest_all
+from .neighbors import NeighborList, build_index, k_nearest_all
 
 __all__ = [
     "Boundary",
@@ -132,21 +132,34 @@ class RefineWindow:
         return self.start is not None and self.start <= t <= self.stop
 
 
+_STOP_REASONS = ("tol", "max_iter")
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """What a pipeline did: iteration count, last displacement, score traces."""
+    """What a pipeline did: iteration count, last displacement, score traces.
+
+    knn_rebuilds counts the exact k-nearest-neighbor rebuilds of the
+    relaxation loop's neighbor table; stop_reason is "tol" when the loop
+    stopped on a displacement below tol and "max_iter" when it ran every step.
+    """
 
     iterations: int
     final_max_disp: float
     seed: int | None
     distance_trace: np.ndarray
     noise_trace: np.ndarray | None = None
+    knn_rebuilds: int = 0
+    stop_reason: str = "max_iter"
 
     def __post_init__(self):
         if len(self.distance_trace) != self.iterations:
             raise ValueError("distance trace length must equal iterations executed")
         if self.noise_trace is not None and len(self.noise_trace) != self.iterations:
             raise ValueError("noise trace length must equal iterations executed")
+        if self.stop_reason not in _STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {_STOP_REASONS}, "
+                             f"got {self.stop_reason!r}")
 
     def to_dict(self) -> dict:
         trace: dict = {"distance_score": [float(v) for v in self.distance_trace]}
@@ -157,6 +170,8 @@ class RunReport:
             "final_max_disp": self.final_max_disp,
             "seed": self.seed,
             "trace": trace,
+            "knn_rebuilds": self.knn_rebuilds,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -176,9 +191,11 @@ def _as_cloud(cloud, dim: int):
     return x
 
 
-def _check_tol(tol):
+def _check_stop(tol, max_iter):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
 
 
 def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
@@ -199,27 +216,32 @@ def _relax(cloud, move, metric, k: int, steps, tol: float, seed, noise=None, ent
 
     Each step t replaces the cloud by move(t, cloud, pairs), where pairs is
     the exact k-nearest-neighbor table of the current cloud (None on the first
-    step when entry_pairs is False).  The table is rebuilt once on every new
-    cloud; its first column gives the distance trace, and noise(cloud), when
-    given, the noise trace.  The loop stops after the first step whose
-    largest per-point displacement under the metric falls below tol.
+    step when entry_pairs is False).  A NeighborList keeps the table exact on
+    every new cloud, given the step's largest per-point displacement under
+    the metric; its first column gives the distance trace, and noise(cloud),
+    when given, the noise trace.  The loop stops after the first step whose
+    displacement falls below tol.
     """
-    pairs = k_nearest_all(build_index(cloud, metric), k) if entry_pairs else None
+    neighbors = NeighborList(metric, k)
+    pairs = neighbors.update(cloud) if entry_pairs else None
     trace_d: list[float] = []
     trace_n: list[float] = []
     disp = 0.0
+    stop_reason = "max_iter"
     for t in steps:
         new = move(t, cloud, pairs)
         disp = float(np.sqrt((metric.delta(new - cloud) ** 2).sum(axis=1)).max())
         cloud = new
-        pairs = k_nearest_all(build_index(cloud, metric), k)
+        pairs = neighbors.update(cloud, disp)
         trace_d.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
         if noise is not None:
             trace_n.append(noise(cloud))
         if disp < tol:
+            stop_reason = "tol"
             break
     report = RunReport(len(trace_d), disp, seed, np.array(trace_d),
-                       None if noise is None else np.array(trace_n))
+                       None if noise is None else np.array(trace_n),
+                       neighbors.rebuilds, stop_reason)
     return cloud, report
 
 
@@ -242,9 +264,7 @@ def bluenoise_2d(
     """
     if boundary is None:
         boundary = Boundary.periodic()
-    _check_tol(tol)
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    _check_stop(tol, max_iter)
     rng = np.random.default_rng(seed)
     if isinstance(cloud_or_n, (int, np.integer)):
         if cloud_or_n < 1:
@@ -255,7 +275,7 @@ def bluenoise_2d(
     n = len(cloud)
     if n == 1:
         # no neighbor exists, nothing can move
-        return cloud, RunReport(0, 0.0, seed, np.empty(0))
+        return cloud, RunReport(0, 0.0, seed, np.empty(0), stop_reason="tol")
     params, schedule = _lj_setup("bluenoise_2d", n, params, schedule, sigma_multiplier)
     metric = boundary.metric
 
@@ -293,7 +313,7 @@ def redistribute_on_mesh(
         raise ValueError("redistribute_on_mesh needs at least 2 points")
     if np.abs(mesh.vertices).max() > 1.0 + 1e-9:
         raise ValueError("mesh must be normalized to [-1, 1]^3 (see normalize_mesh)")
-    _check_tol(tol)
+    _check_stop(tol, max_iter)
     params, schedule = _lj_setup("redistribute_on_mesh", n, params, schedule, sigma_multiplier)
 
     rng = np.random.default_rng(seed)

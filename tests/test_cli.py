@@ -68,6 +68,8 @@ def test_bluenoise_summary_echoes_config(tmp_path, capsys):
     assert s["iterations"] == 20
     report = json.loads(rep.read_text())
     assert len(report["trace"]["distance_score"]) == 20
+    assert report["stop_reason"] == "max_iter"
+    assert 1 <= report["knn_rebuilds"] <= 21
     pts = np.loadtxt(out)
     assert pts.shape == (32, 2)
 
@@ -147,6 +149,12 @@ def test_non_finite_parameters_exit_2(capsys):
     assert "beta must be a finite number" in capsys.readouterr().err
     assert main(["bluenoise", "--n", "16", "--tol", "nan"]) == 2
     assert "tol must be a finite number" in capsys.readouterr().err
+
+
+def test_negative_max_iter_exits_2(capsys, sphere_obj):
+    for argv in (["bluenoise", "--n", "16"], ["redistribute", "--mesh", sphere_obj, "--n", "20"]):
+        assert main(argv + ["--max-iter", "-1"]) == 2
+        assert "max_iter must be >= 0" in capsys.readouterr().err
 
 
 def test_invalid_window_exits_2(capsys):

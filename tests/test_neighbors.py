@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ljlayer.metrics import EUCLIDEAN, PERIODIC_UNIT
-from ljlayer.neighbors import SpatialIndex, build_index, k_nearest_all, nearest_all
+from ljlayer.neighbors import NeighborList, SpatialIndex, build_index, k_nearest_all, nearest_all
 
 
 def brute_k_nearest(points, metric, k):
@@ -135,3 +135,68 @@ def test_periodic_wrap_lands_in_unit_interval(c):
     w = PERIODIC_UNIT.wrap(np.array([c, 0.5]))
     assert ((w >= 0.0) & (w < 1.0)).all()
     build_index(np.array([[c, 0.5], [0.25, 0.75]]), "periodic")
+
+
+# ------------------------------------------------------------ neighbor list
+
+def _largest_move(metric, old, new):
+    """What the relaxation loop passes on: the largest per-point move under the metric."""
+    return float(np.sqrt((metric.delta(new - old) ** 2).sum(axis=1)).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=st.sampled_from([(2, EUCLIDEAN), (3, EUCLIDEAN), (2, PERIODIC_UNIT)]),
+       k=st.integers(1, 3),
+       n=st.integers(2, 40),
+       kind=st.sampled_from(["uniform", "seam", "grid", "coincident"]),
+       scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-5, 1e-3, 0.01, 0.03, 0.1, 0.6]),
+                       min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(space=(2, PERIODIC_UNIT), k=3, n=5, kind="seam", scales=[1e-3, 0.6], seed=0)
+def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scales, seed):
+    # small n caches every point (m = n); larger n relies on the certificate
+    dim, metric = space
+    n = max(n, k + 1)
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        x = rng.integers(0, 4, (n, dim)) / 4.0        # many exactly equal distances
+    elif kind == "seam":
+        x = metric.wrap(rng.normal(0.0, 0.05, (n, dim)))  # straddles the torus corner
+    else:
+        x = rng.random((n, dim))
+    if kind == "coincident":
+        x[: n // 2] = x[-1]
+    nbrs = NeighborList(metric, k)
+    np.testing.assert_array_equal(nbrs.update(x), k_nearest_all(build_index(x, metric), k))
+    for scale in scales:
+        if kind == "grid":
+            # eighths keep coordinates exact, so ties survive the move
+            step = rng.integers(-1, 2, (n, dim)) * (rng.random((n, 1)) < scale) / 8.0
+        elif rng.random() < 0.5:
+            step = scale * rng.standard_normal((n, dim))
+        else:
+            # one point jumps while the rest stay: it can enter rows that never cached it
+            step = np.zeros((n, dim))
+            step[rng.integers(n)] = scale * rng.standard_normal(dim)
+        new = metric.wrap(x + step)
+        moved = _largest_move(metric, x, new)
+        x = new
+        np.testing.assert_array_equal(nbrs.update(x, moved),
+                                      k_nearest_all(build_index(x, metric), k))
+    assert nbrs.rebuilds <= len(scales) + 1
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT])
+def test_neighbor_list_rarely_rebuilds_a_slowly_moving_cloud(metric):
+    rng = np.random.default_rng(3)
+    x = rng.random((300, 2))
+    nbrs = NeighborList(metric, 2)
+    nbrs.update(x)
+    steps = 40
+    for _ in range(steps):
+        new = metric.wrap(x + 1e-4 * rng.standard_normal(x.shape))
+        moved = _largest_move(metric, x, new)
+        x = new
+        np.testing.assert_array_equal(nbrs.update(x, moved),
+                                      k_nearest_all(build_index(x, metric), 2))
+    assert nbrs.rebuilds < steps

@@ -113,6 +113,11 @@ def test_run_report_trace_length_checked():
     assert d["iterations"] == 2 and d["seed"] == 7
     assert d["trace"]["distance_score"] == [0.5, 0.6]
     assert "noise_score" not in d["trace"]
+    assert d["knn_rebuilds"] == 0 and d["stop_reason"] == "max_iter"
+    d = RunReport(2, 0.1, 7, np.array([0.5, 0.6]), knn_rebuilds=2, stop_reason="tol").to_dict()
+    assert d["knn_rebuilds"] == 2 and d["stop_reason"] == "tol"
+    with pytest.raises(ValueError):
+        RunReport(2, 0.1, 7, np.array([0.5, 0.6]), stop_reason="converged")
 
 
 # ------------------------------------------------------------- blue noise
@@ -132,6 +137,15 @@ def test_bluenoise_deterministic():
     np.testing.assert_array_equal(ra.distance_trace, rb.distance_trace)
     c, _ = bluenoise_2d(64, seed=4, max_iter=50)
     assert not np.array_equal(a, c)
+
+
+def test_bluenoise_reports_stop_reason_and_rebuilds():
+    _, rep = bluenoise_2d(128, seed=0)
+    assert rep.stop_reason == "tol" and rep.final_max_disp < 1e-5
+    # one rebuild on entry, then only when the neighbor list cannot prove its table
+    assert 1 <= rep.knn_rebuilds < rep.iterations
+    _, rep = bluenoise_2d(128, seed=0, max_iter=7)
+    assert rep.stop_reason == "max_iter" and rep.iterations == 7
 
 
 def test_bluenoise_zero_alpha_stops_immediately():
@@ -243,6 +257,8 @@ def test_redistribute_validation(sphere):
         redistribute_on_mesh(np.zeros((4, 2)), sphere)
     with pytest.raises(ValueError, match="tol must be a finite number"):
         redistribute_on_mesh(sphere.vertices[:10], sphere, tol=np.nan)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        redistribute_on_mesh(sphere.vertices[:10], sphere, max_iter=-5)
 
 
 # ----------------------------------------------------------------- surfaces
