@@ -128,12 +128,17 @@ def _embed_summary(args, config: pipelines.EmbedConfig) -> dict:
 def _cmd_embed(args) -> int:
     config = _embed_config(args)
     config.window()  # validate before any work
-    surface = pipelines.MeshSurface(_load_normalized_mesh(args.mesh)) if args.mesh else None
+    if args.mesh:
+        surface = pipelines.MeshSurface(_load_normalized_mesh(args.mesh))
+    else:
+        surface = pipelines.UnitSphere()
     summary = _embed_summary(args, config)
     summary.update({"command": "embed", "compare": bool(args.compare),
                     "out": args.out, "report": args.report})
+    trace = bool(args.report)   # only the --report file reads the traces
     if args.compare:
-        score_report, _, (cloud, run_report) = pipelines.embed_compare(config, surface=surface)
+        score_report, _, (cloud, run_report) = pipelines.embed_compare(
+            config, surface=surface, trace=trace)
         summary.update({
             "distance_score": score_report.distance_score_ljl,
             "noise_score": score_report.noise_score_ljl,
@@ -144,10 +149,11 @@ def _cmd_embed(args) -> int:
             "ratio": score_report.ratio,
         })
     else:
-        cloud, run_report = pipelines.run_embedded(config, embedded=True, surface=surface)
+        cloud, run_report = pipelines.run_embedded(config, embedded=True, surface=surface,
+                                                   trace=trace)
         summary.update({
             "distance_score": analysis.distance_score(cloud),
-            "noise_score": float(run_report.noise_trace[-1]) if run_report.iterations else None,
+            "noise_score": float(surface.distance(cloud).mean()),
         })
     summary["iterations"] = run_report.iterations
     if args.out:

@@ -31,7 +31,13 @@ class Metric:
 
     def distance2(self, a, b):
         d = self.delta(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        return (d * d).sum(axis=-1)
+        # component by component, left to right: the same sum as
+        # (d * d).sum(axis=-1) over 2 or 3 columns, without numpy's slow
+        # short-axis reduction
+        out = d[..., 0] * d[..., 0]
+        for j in range(1, d.shape[-1]):
+            out += d[..., j] * d[..., j]
+        return out
 
     def distance(self, a, b):
         return np.sqrt(self.distance2(a, b))

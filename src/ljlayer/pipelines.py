@@ -139,21 +139,28 @@ _STOP_REASONS = ("tol", "max_iter")
 class RunReport:
     """What a pipeline did: iteration count, last displacement, score traces.
 
-    knn_rebuilds counts the exact k-nearest-neighbor rebuilds of the
-    relaxation loop's neighbor table; stop_reason is "tol" when the loop
-    stopped on a displacement below tol and "max_iter" when it ran every step.
+    Traces hold one value per iteration; both are None when none was
+    recorded (embed_refine with trace=False).  knn_rebuilds counts the exact
+    k-nearest-neighbor rebuilds of the relaxation loop's neighbor table, the
+    one on entry included; embed_refine keeps that table (k = 1) only for its
+    trace, so with trace=False it reports 0.  stop_reason is "tol" when the
+    loop stopped on a displacement below tol and "max_iter" when it ran
+    every step.
     """
 
     iterations: int
     final_max_disp: float
     seed: int | None
-    distance_trace: np.ndarray
+    distance_trace: np.ndarray | None
     noise_trace: np.ndarray | None = None
     knn_rebuilds: int = 0
     stop_reason: str = "max_iter"
 
     def __post_init__(self):
-        if len(self.distance_trace) != self.iterations:
+        if self.distance_trace is None:
+            if self.noise_trace is not None:
+                raise ValueError("a noise trace needs a distance trace")
+        elif len(self.distance_trace) != self.iterations:
             raise ValueError("distance trace length must equal iterations executed")
         if self.noise_trace is not None and len(self.noise_trace) != self.iterations:
             raise ValueError("noise trace length must equal iterations executed")
@@ -162,9 +169,11 @@ class RunReport:
                              f"got {self.stop_reason!r}")
 
     def to_dict(self) -> dict:
-        trace: dict = {"distance_score": [float(v) for v in self.distance_trace]}
-        if self.noise_trace is not None:
-            trace["noise_score"] = [float(v) for v in self.noise_trace]
+        trace = None
+        if self.distance_trace is not None:
+            trace = {"distance_score": [float(v) for v in self.distance_trace]}
+            if self.noise_trace is not None:
+                trace["noise_score"] = [float(v) for v in self.noise_trace]
         return {
             "iterations": self.iterations,
             "final_max_disp": self.final_max_disp,
@@ -211,37 +220,42 @@ def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
     return params, schedule
 
 
-def _relax(cloud, move, metric, k: int, steps, tol: float, seed, noise=None, entry_pairs=True):
+def _relax(cloud, move, metric, k, steps, tol: float, seed, noise=None):
     """The relaxation loop of every pipeline; returns (cloud, RunReport).
 
     Each step t replaces the cloud by move(t, cloud, pairs), where pairs is
-    the exact k-nearest-neighbor table of the current cloud (None on the first
-    step when entry_pairs is False).  A NeighborList keeps the table exact on
-    every new cloud, given the step's largest per-point displacement under
-    the metric; its first column gives the distance trace, and noise(cloud),
-    when given, the noise trace.  The loop stops after the first step whose
+    the exact k-nearest-neighbor table of the current cloud.  A NeighborList
+    keeps the table exact on every new cloud, given the step's largest
+    per-point displacement under the metric; its first column gives the
+    distance trace, and noise(cloud), when given, the noise trace.  With k
+    None the loop keeps no table, pairs is None and no trace is recorded
+    (pass no noise then).  The loop stops after the first step whose
     displacement falls below tol.
     """
-    neighbors = NeighborList(metric, k)
-    pairs = neighbors.update(cloud) if entry_pairs else None
-    trace_d: list[float] = []
-    trace_n: list[float] = []
+    neighbors = None if k is None else NeighborList(metric, k)
+    pairs = None if neighbors is None else neighbors.update(cloud)
+    trace_d = None if neighbors is None else []
+    trace_n = None if noise is None else []
+    iterations = 0
     disp = 0.0
     stop_reason = "max_iter"
     for t in steps:
         new = move(t, cloud, pairs)
-        disp = float(np.sqrt((metric.delta(new - cloud) ** 2).sum(axis=1)).max())
+        disp = float(metric.distance(new, cloud).max())
         cloud = new
-        pairs = neighbors.update(cloud, disp)
-        trace_d.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
+        iterations += 1
+        if neighbors is not None:
+            pairs = neighbors.update(cloud, disp)
+            trace_d.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
         if noise is not None:
             trace_n.append(noise(cloud))
         if disp < tol:
             stop_reason = "tol"
             break
-    report = RunReport(len(trace_d), disp, seed, np.array(trace_d),
-                       None if noise is None else np.array(trace_n),
-                       neighbors.rebuilds, stop_reason)
+    report = RunReport(iterations, disp, seed,
+                       None if trace_d is None else np.array(trace_d),
+                       None if trace_n is None else np.array(trace_n),
+                       0 if neighbors is None else neighbors.rebuilds, stop_reason)
     return cloud, report
 
 
@@ -395,6 +409,10 @@ class SurfaceRefiner:
         return out
 
 
+# largest coordinate magnitude whose squared pairwise distances in 3D stay finite
+_MAX_COORD = math.sqrt(np.finfo(float).max / 12.0)
+
+
 def embed_refine(
     refiner,
     cloud0,
@@ -404,6 +422,7 @@ def embed_refine(
     beta: float = 0.01,
     seed: int = 0,
     sigma_multiplier: float = 5.0,
+    trace: bool = True,
 ):
     """Run a refiner for window.total steps, embedding pair dynamics inside the window.
 
@@ -411,13 +430,18 @@ def embed_refine(
     window.start <= t <= window.stop one pair-dynamics step follows, its step
     size set by dt_adaptive(i, d) where i = t - window.start + 1 counts steps
     inside the window and d is the largest per-point displacement the refiner
-    just produced.  Steps after the window run the refiner alone.
+    just produced.  Steps after the window run the refiner alone.  With
+    trace=False no per-step score is computed and the report's traces are
+    None; the cloud is the same either way.  A run whose coordinates become
+    non-finite or too large to square raises ValueError at that step.
     Returns (cloud, RunReport).
     """
     cloud = _as_cloud(cloud0, 3)
     n = len(cloud)
     if n < 2:
         raise ValueError("embed_refine needs at least 2 points")
+    if not np.abs(cloud).max() < _MAX_COORD:
+        raise ValueError(f"initial cloud coordinates must be below {_MAX_COORD:.3g} in magnitude")
     if params is None:
         params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
     if params.k > n - 1:
@@ -427,23 +451,32 @@ def embed_refine(
     surface = getattr(refiner, "surface", None)
 
     def move(t, prev, _):
-        cloud = np.asarray(refiner.step(t, prev), dtype=float)
-        if cloud.shape != prev.shape:
-            raise ValueError(f"refiner changed the cloud shape: {prev.shape} -> {cloud.shape}")
-        if window.active(t):
-            max_disp = float(np.sqrt(((cloud - prev) ** 2).sum(axis=1)).max())
+        refined = np.asarray(refiner.step(t, prev), dtype=float)
+        if refined.shape != prev.shape:
+            raise ValueError(f"refiner changed the cloud shape: {prev.shape} -> {refined.shape}")
+        cloud = refined
+        # NaN fails both bound checks too
+        if window.active(t) and np.abs(refined).max() < _MAX_COORD:
+            max_disp = float(EUCLIDEAN.distance(refined, prev).max())
             dt = dt_adaptive(t - window.start + 1, max_disp, schedule)
             if dt > 0.0:
-                pairs = k_nearest_all(build_index(cloud, EUCLIDEAN), params.k)
-                cloud = lj_step(cloud, pairs, dt, params, EUCLIDEAN, rng)
+                pairs = k_nearest_all(build_index(refined, EUCLIDEAN), params.k)
+                with np.errstate(over="ignore", invalid="ignore"):    # checked below
+                    cloud = lj_step(refined, pairs, dt, params, EUCLIDEAN, rng)
+        if not np.abs(cloud).max() < _MAX_COORD:
+            with np.errstate(over="ignore", invalid="ignore"):
+                max_disp = float(EUCLIDEAN.distance(refined, prev).max())
+            raise ValueError(f"embedded run diverged at step {t} (alpha={alpha}): refiner "
+                             f"displacement {max_disp:.6g}, coordinates non-finite or beyond "
+                             f"{_MAX_COORD:.3g}")
         return cloud
 
     def noise(cloud):
         return float(surface.distance(cloud).mean())
 
-    # move() finds its own pairs, so _relax's table only feeds the trace: k = 1
-    return _relax(cloud, move, EUCLIDEAN, 1, range(1, window.total + 1), 0.0, seed,
-                  noise if surface is not None else None, entry_pairs=False)
+    # move() finds its own pairs, so the loop's table only feeds the trace: k = 1
+    return _relax(cloud, move, EUCLIDEAN, 1 if trace else None, range(1, window.total + 1),
+                  0.0, seed, noise if trace and surface is not None else None)
 
 
 @dataclass(frozen=True)
@@ -524,8 +557,11 @@ def _init_cloud(config: EmbedConfig):
     return g / r + config.init_jitter * rng.standard_normal((config.n, 3))
 
 
-def run_embedded(config: EmbedConfig, embedded: bool = True, surface=None):
-    """One harness run; embedded=False runs the refiner alone on the same streams."""
+def run_embedded(config: EmbedConfig, embedded: bool = True, surface=None, trace: bool = True):
+    """One harness run; embedded=False runs the refiner alone on the same streams.
+
+    trace is passed to embed_refine: False skips the per-step scores.
+    """
     if surface is None:
         surface = UnitSphere()
     refiner = SurfaceRefiner(surface, pull=config.pull, noise0=config.noise0,
@@ -533,7 +569,7 @@ def run_embedded(config: EmbedConfig, embedded: bool = True, surface=None):
     window = config.window() if embedded else RefineWindow.disabled(config.total)
     cloud0 = _init_cloud(config)
     return embed_refine(refiner, cloud0, window, params=config.lj_params(),
-                        alpha=config.alpha, beta=config.beta, seed=config.seed)
+                        alpha=config.alpha, beta=config.beta, seed=config.seed, trace=trace)
 
 
 def _final_scores(cloud, surface) -> Scores:
@@ -541,16 +577,17 @@ def _final_scores(cloud, surface) -> Scores:
                   noise=float(surface.distance(cloud).mean()))
 
 
-def embed_compare(config: EmbedConfig, surface=None):
+def embed_compare(config: EmbedConfig, surface=None, trace: bool = True):
     """Paired baseline/embedded runs sharing seed streams.
 
     Returns (report, base_run, ljl_run) where report is the increment
-    ScoreReport and each run is its (cloud, RunReport) pair.
+    ScoreReport, scored on the final clouds, and each run is its (cloud,
+    RunReport) pair; trace=False leaves the runs' traces None.
     """
     if surface is None:
         surface = UnitSphere()
-    base = run_embedded(config, embedded=False, surface=surface)
-    ljl = run_embedded(config, embedded=True, surface=surface)
+    base = run_embedded(config, embedded=False, surface=surface, trace=trace)
+    ljl = run_embedded(config, embedded=True, surface=surface, trace=trace)
     report = increment_report(_final_scores(base[0], surface), _final_scores(ljl[0], surface))
     return report, base, ljl
 
@@ -590,7 +627,7 @@ def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list
     for value in values:
         for seed in seeds:
             config = _sweep_config(axis, value, int(seed), base)
-            report, _, _ = embed_compare(config)
+            report, _, _ = embed_compare(config, trace=False)
             rows.append({
                 "value": float(value),
                 "seed": int(seed),

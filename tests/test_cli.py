@@ -93,6 +93,27 @@ def test_embed_compare_summary(capsys):
     assert s["iterations"] == 30
 
 
+def test_embed_zero_steps_reports_the_noise_score(capsys):
+    s = summary_of(capsys, "embed", "--t", "0")
+    c = summary_of(capsys, "embed", "--t", "0", "--compare")
+    assert s["iterations"] == 0
+    assert s["noise_score"] is not None and s["noise_score"] > 0
+    assert (s["distance_score"], s["noise_score"]) == (c["distance_score"], c["noise_score"])
+
+
+def test_embed_stdout_does_not_depend_on_report(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    for extra in (["--compare"], []):
+        argv = ["embed", "--n", "40", "--t", "30", "--seed", "3", *extra]
+        _, plain = run_cli(capsys, *argv, "--out", str(tmp_path / "a.xyz"))
+        _, traced = run_cli(capsys, *argv, "--out", str(tmp_path / "b.xyz"), "--report", str(rep))
+        assert traced.replace(json.dumps(str(rep)), "null").replace("b.xyz", "a.xyz") == plain
+        assert (tmp_path / "a.xyz").read_bytes() == (tmp_path / "b.xyz").read_bytes()
+        report = json.loads(rep.read_text())
+        assert len(report["trace"]["distance_score"]) == len(report["trace"]["noise_score"]) == 30
+        assert report["knn_rebuilds"] >= 1
+
+
 def test_embed_default_window_from_t(capsys):
     s = summary_of(capsys, "embed", "--n", "30", "--t", "40")
     assert (s["ss"], s["tprime"]) == (24, 38)  # 0.6*t and 0.95*t

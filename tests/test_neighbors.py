@@ -137,6 +137,24 @@ def test_periodic_wrap_lands_in_unit_interval(c):
     build_index(np.array([[c, 0.5], [0.25, 0.75]]), "periodic")
 
 
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from([EUCLIDEAN, PERIODIC_UNIT]), dim=st.sampled_from([2, 3]),
+       n=st.integers(1, 30), m=st.integers(1, 12), scale=st.integers(-8, 8),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_distance2_equals_the_axis_reduction(metric, dim, n, m, scale, fortran, seed):
+    # the per-component sum must add in the order (d * d).sum(axis=-1) does
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, dim)) * 10.0**scale
+    b = rng.standard_normal((n, m, dim)) * 10.0**scale
+    if fortran:
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    for x, y in ((a, b[:, 0]), (a[:, None, :], b)):
+        d = metric.delta(x - y)
+        expected = (d * d).sum(axis=-1)
+        got = metric.distance2(x, y)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------ neighbor list
 
 def _largest_move(metric, old, new):

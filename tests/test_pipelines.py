@@ -1,5 +1,8 @@
 """Blue-noise synthesis, mesh redistribution, and the embedding harness."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,12 @@ def test_run_report_trace_length_checked():
     assert d["knn_rebuilds"] == 2 and d["stop_reason"] == "tol"
     with pytest.raises(ValueError):
         RunReport(2, 0.1, 7, np.array([0.5, 0.6]), stop_reason="converged")
+    # a run without traces: no length check, null in the JSON
+    d = RunReport(4, 0.1, 7, None).to_dict()
+    assert d["trace"] is None and d["iterations"] == 4
+    assert '"trace": null' in json.dumps(d)
+    with pytest.raises(ValueError, match="noise trace needs a distance trace"):
+        RunReport(2, 0.1, 7, None, np.zeros(2))
 
 
 # ------------------------------------------------------------- blue noise
@@ -442,6 +451,59 @@ def test_embed_compare_accepts_mesh_surface(sphere):
     cfg = small_config(30, 30)
     report, _, _ = embed_compare(cfg, surface=MeshSurface(sphere))
     assert np.isfinite(report.noise_score_ljl)
+
+
+def test_untraced_embed_compare_is_byte_equal():
+    for cfg, surface in ((small_config(40, 30, seed=2), None),
+                         (EmbedConfig.denoising(n=40, seed=1), None),
+                         (small_config(30, 20, seed=4), MeshSurface(normalize_mesh(icosphere(1))))):
+        traced = embed_compare(cfg, surface=surface)
+        plain = embed_compare(cfg, surface=surface, trace=False)
+        assert repr(plain[0]) == repr(traced[0])
+        for (c1, r1), (c0, r0) in zip(traced[1:], plain[1:]):
+            assert c0.tobytes() == c1.tobytes()
+            assert r0.distance_trace is None and r0.noise_trace is None
+            assert r0.to_dict()["trace"] is None
+            assert r0.iterations == r1.iterations == cfg.total
+            assert r0.final_max_disp == r1.final_max_disp
+            # no trace, no neighbor table; traced: the k = 1 trace table, entry included
+            assert r0.knn_rebuilds == 0
+            assert 1 <= r1.knn_rebuilds <= r1.iterations + 1
+            assert len(r1.distance_trace) == len(r1.noise_trace) == cfg.total
+
+
+def test_sweep_rows_equal_traced_compares():
+    base = small_config(30, 25)
+    rows = run_sweep("alpha", [0.5, 2.5], seeds=[0, 3], base=base)
+    for row in rows:
+        report, _, _ = embed_compare(replace(base, alpha=row["value"], seed=row["seed"]))
+        ratio = float("nan") if report.ratio is None else report.ratio
+        assert repr(row) == repr({
+            "value": row["value"], "seed": row["seed"],
+            "distance_score": report.distance_score_ljl, "noise_score": report.noise_score_ljl,
+            "distance_increment": report.distance_increment,
+            "noise_increment": report.noise_increment, "ratio": ratio})
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_divergence_fails_at_its_first_step():
+    # alpha = 4.8 drives this seed's cloud beyond float range at step 56; no
+    # numpy overflow warning may come first, traced or not
+    msg = r"diverged at step 56 \(alpha=4.8\): refiner displacement 1\.5\d*e\+125"
+    with pytest.raises(ValueError, match=msg):
+        run_sweep("alpha_denoise", [4.8], [5071])
+    with pytest.raises(ValueError, match=msg):
+        run_embedded(EmbedConfig.denoising(alpha=4.8, seed=5071))
+
+    class NanRefiner:
+        def step(self, t, cloud):
+            return np.asarray(cloud) * (np.nan if t == 3 else 1.0)
+
+    cloud0 = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(ValueError, match="diverged at step 3 .* refiner displacement nan"):
+        embed_refine(NanRefiner(), cloud0, RefineWindow.disabled(5))
+    with pytest.raises(ValueError, match="initial cloud coordinates must be below"):
+        embed_refine(NanRefiner(), cloud0 * 1e160, RefineWindow.disabled(5))
 
 
 # ------------------------------------------------------------------- sweeps
