@@ -86,13 +86,14 @@ def _cmd_redistribute(args) -> int:
         cloud0 = geometry.read_xyz(args.cloud)
     else:
         cloud0 = np.random.default_rng(args.seed).uniform(-1.0, 1.0, (args.n, 3))
-    _, report, summary = _relax_command(args, cloud0.shape[0], pipelines.redistribute_on_mesh,
-                                        cloud0, mesh)
-    summary.update({
-        "mesh": args.mesh,
-        "distance_score": float(report.distance_trace[-1]) if report.iterations else None,
-        "noise_score": float(report.noise_trace[-1]) if report.iterations else None,
-    })
+    cloud, report, summary = _relax_command(args, cloud0.shape[0],
+                                            pipelines.redistribute_on_mesh, cloud0, mesh)
+    if report.iterations > 0:
+        scores = float(report.distance_trace[-1]), float(report.noise_trace[-1])
+    else:
+        # the pipeline projects the cloud before its first step
+        scores = analysis.distance_score(cloud), geometry.noise_score(cloud, mesh)
+    summary.update({"mesh": args.mesh, "distance_score": scores[0], "noise_score": scores[1]})
     return _emit(summary)
 
 

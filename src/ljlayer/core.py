@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EUCLIDEAN, Metric
+from .metrics import EUCLIDEAN, Metric, squared_norm
 
 __all__ = [
     "COINCIDENT_TOL",
@@ -61,8 +61,9 @@ class LjParams:
         if not 0 < self.clamp_lo_factor < self.clamp_hi_factor:
             raise ValueError("need 0 < clamp_lo_factor < clamp_hi_factor, got "
                              f"{self.clamp_lo_factor}, {self.clamp_hi_factor}")
-        if int(self.k) != self.k or self.k < 1:
+        if not (float(self.k).is_integer() and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k}")
+        object.__setattr__(self, "k", int(self.k))   # 2.0 would break slicing downstream
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def lj_step(cloud, pairs, dt, params: LjParams, metric: Metric = EUCLIDEAN, rng=
         raise ValueError(f"dt must be >= 0, got {dt}")
 
     diff = metric.delta(x[:, None, :] - x[pairs])          # (n, k, d)
-    r_raw = np.sqrt((diff * diff).sum(axis=-1))            # (n, k)
+    r_raw = np.sqrt(squared_norm(diff))                    # (n, k)
     unit = np.zeros_like(diff)
     ok = r_raw > COINCIDENT_TOL
     np.divide(diff, r_raw[..., None], out=unit, where=ok[..., None])

@@ -238,10 +238,11 @@ def _closest_on_triangles(a, b, c, p):
 class MeshProjector:
     """Reusable batched closest-point queries against one mesh.
 
-    Only faces whose centroid lies within (nearest-vertex distance + the
-    largest centroid-to-vertex reach) of the query can contain the winner, so
-    everything else is skipped.  Surviving faces are scored exactly and the
-    winner chosen by (distance, face index), matching a full scan.
+    The nearest face centroid lies on its face, so the winner is no farther
+    than that, and only faces whose centroid lies within (nearest-centroid
+    distance + the largest centroid-to-vertex reach) of the query can contain
+    it; everything else is skipped.  Surviving faces are scored exactly and
+    the winner chosen by (distance, face index), matching a full scan.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -253,7 +254,6 @@ class MeshProjector:
         centroids = tri.mean(axis=1)
         self._reach = float(np.sqrt(((tri - centroids[:, None, :]) ** 2).sum(axis=2)).max())
         self._centroid_tree = cKDTree(centroids)
-        self._vertex_tree = cKDTree(mesh.vertices)
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
@@ -262,8 +262,10 @@ class MeshProjector:
             raise ValueError(f"query points must have shape (n, 3), got {q.shape}")
         if q.shape[0] == 0:
             raise ValueError("cannot project an empty cloud")
-        d_vert = self._vertex_tree.query(q)[0]
-        radius = (d_vert + self._reach) * (1.0 + 1e-9) + 1e-12
+        if not np.isfinite(q).all():
+            raise ValueError("query points contain non-finite coordinates")
+        d_near = self._centroid_tree.query(q)[0]
+        radius = (d_near + self._reach) * (1.0 + 1e-9) + 1e-12
         cand = self._centroid_tree.query_ball_point(q, radius)
         counts = np.fromiter((len(c) for c in cand), dtype=np.intp, count=len(cand))
         qid = np.repeat(np.arange(len(q)), counts)

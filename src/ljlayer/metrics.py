@@ -11,7 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric"]
+__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric", "squared_norm"]
+
+
+def squared_norm(d):
+    """Squared length of each vector along the last axis (2 or 3 components).
+
+    Summed component by component, left to right: the same sum as
+    (d * d).sum(axis=-1), without numpy's slow short-axis reduction.
+    """
+    out = d[..., 0] * d[..., 0]
+    for j in range(1, d.shape[-1]):
+        out += d[..., j] * d[..., j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -30,14 +42,7 @@ class Metric:
         return diff
 
     def distance2(self, a, b):
-        d = self.delta(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        # component by component, left to right: the same sum as
-        # (d * d).sum(axis=-1) over 2 or 3 columns, without numpy's slow
-        # short-axis reduction
-        out = d[..., 0] * d[..., 0]
-        for j in range(1, d.shape[-1]):
-            out += d[..., j] * d[..., j]
-        return out
+        return squared_norm(self.delta(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
     def distance(self, a, b):
         return np.sqrt(self.distance2(a, b))

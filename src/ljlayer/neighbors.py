@@ -2,14 +2,15 @@
 
 A k-d tree accelerates the search, but results are guaranteed to match a
 brute-force scan, including tie-breaking: among equidistant candidates the
-lowest point index wins.  To that end tree candidates are re-scored with the
-same arithmetic a brute-force scan would use, and the rare query whose
-candidate list cannot be proven complete falls back to an exhaustive ball
-query.
+lowest point index wins.  One routine, `_select`, re-scores candidate ids
+with the metric's arithmetic, takes them in (distance, id) order, and
+certifies a row when its k-th distance stays below the radius beyond which
+every point outside its candidates lies.  The rare row a tree query cannot
+certify is rescanned with an exhaustive ball query.
 
-`NeighborList` keeps that exact table for a moving cloud without querying the
-tree on every step: it re-scores the candidates of its last query and
-rebuilds only when it can no longer prove the re-scored table exact.
+`NeighborList` keeps that table for a moving cloud by selecting from the
+candidates of its last query, and rebuilds only when a row fails.  The index
+keeps no query state.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class SpatialIndex:
         else:
             self._query_points = pts
             self._tree = cKDTree(pts)
-        # (tree candidate ids, certificate radius) of the last kNN query; see NeighborList
-        self._candidates = None
 
     @property
     def n(self) -> int:
@@ -65,48 +64,57 @@ def build_index(cloud, metric="euclidean") -> SpatialIndex:
     return SpatialIndex(cloud, get_metric(metric))
 
 
-def _sort_candidates(index: SpatialIndex, rows, cand):
-    """Exact squared distances for candidate ids, ordered by (distance, id)."""
-    d2 = index.metric.distance2(index.points[rows][:, None, :], index.points[cand])
-    order = np.lexsort((cand, d2), axis=1)              # ids in a row are unique
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1)
+def _select(metric: Metric, x, rows, cand, rho, k: int):
+    """The k nearest of each row's candidates and whether that is the exact answer.
+
+    cand holds each row's candidate ids, ascending; rho bounds from below the
+    distance of every point outside them.  Returns (table, dk, ok): the k
+    candidates other than the row itself in (distance, id) order, the k-th
+    distance, and ok where that distance is, with the tie guard, below rho.
+    """
+    # take() gathers rows several times faster than fancy indexing, same values
+    d2 = metric.distance2(x.take(rows, axis=0)[:, None, :], x.take(cand, axis=0))
+    d2[cand == rows[:, None]] = np.inf      # a point is not its own neighbor
+    if k == 1:
+        # columns ascend by id, so argmin's first minimum is the lowest id
+        cols = np.argmin(d2, axis=1)[:, None]
+    else:
+        cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    dk = np.sqrt(np.take_along_axis(d2, cols[:, -1:], axis=1)[:, 0])
+    ok = dk * (1.0 + _TIE_GUARD) < rho * (1.0 - _TIE_GUARD)
+    return np.take_along_axis(cand, cols, axis=1), dk, ok
 
 
 def _ball_exact(index: SpatialIndex, i: int, k: int, radius: float):
-    cand = np.asarray(index._tree.query_ball_point(index._query_points[i], radius),
-                      dtype=np.intp)
-    cand, _ = _sort_candidates(index, np.array([i]), cand[None, :])
-    cand = cand[0]
-    return cand[cand != i][:k]
+    ball = np.sort(np.asarray(index._tree.query_ball_point(index._query_points[i], radius),
+                              dtype=np.intp))
+    return _select(index.metric, index.points, np.array([i]), ball[None, :], np.inf, k)[0][0]
 
 
-def _k_nearest(index: SpatialIndex, k: int):
+def _k_nearest(index: SpatialIndex, k):
+    """Exact kNN table plus what certifies it; returns (table, cand, rho).
+
+    cand holds each row's m = min(n, k+1+_EXTRA) tree candidates, ascending,
+    and rho the tree distance of the m-th, or inf when every point is a
+    candidate: no point outside a row's candidates lies nearer than rho.
+    """
     n = index.n
-    if int(k) != k or not 1 <= k <= n - 1:
+    if not (float(k).is_integer() and 1 <= k <= n - 1):
         raise ValueError(f"k must be an integer in [1, {n - 1}], got {k}")
-    rows = np.arange(n)
+    k = int(k)
     m = min(n, k + 1 + _EXTRA)
-    d_tree, cand = index._tree.query(index._query_points[rows], k=m)
+    d_tree, cand = index._tree.query(index._query_points, k=m)
     if cand.max() >= n:
         # scipy marks unreachable neighbors with index n; with finite inputs
         # that only happens when squared distances overflow
         raise ValueError("neighbor query failed; coordinates are too extreme")
-    cand = cand.astype(np.intp)
-    index._candidates = (cand, d_tree[:, -1] if m < n else np.full(n, np.inf))
-    cand, d2 = _sort_candidates(index, rows, cand)
-
-    keep = cand != rows[:, None]
-    front = np.argsort(~keep, axis=1, kind="stable")    # kept columns first, order intact
-    sel = np.take_along_axis(cand, front[:, :k], axis=1)
-    dk = np.sqrt(np.take_along_axis(d2, front[:, :k], axis=1)[:, -1])
-
-    if m < n:
-        # The candidate list is provably complete only if the tree saw
-        # strictly beyond the k-th exact distance; otherwise rescan that row.
-        unsafe = ~(d_tree[:, -1] > dk * (1.0 + _TIE_GUARD))
-        for r in np.nonzero(unsafe)[0]:
-            sel[r] = _ball_exact(index, int(rows[r]), k, dk[r] * (1.0 + _TIE_GUARD))
-    return sel
+    cand = np.sort(cand, axis=1)
+    rho = d_tree[:, -1] if m < n else np.full(n, np.inf)
+    table, dk, ok = _select(index.metric, index.points, np.arange(n), cand, rho, k)
+    # a row the tree candidates cannot certify is rescanned exhaustively
+    for r in np.nonzero(~ok)[0]:
+        table[r] = _ball_exact(index, int(r), k, dk[r] * (1.0 + _TIE_GUARD))
+    return table, cand, rho
 
 
 def nearest_all(index: SpatialIndex):
@@ -116,12 +124,12 @@ def nearest_all(index: SpatialIndex):
     """
     if index.n < 2:
         raise ValueError("nearest-neighbor query needs at least 2 points")
-    return _k_nearest(index, 1)[:, 0]
+    return _k_nearest(index, 1)[0][:, 0]
 
 
 def k_nearest_all(index: SpatialIndex, k: int):
     """The k nearest other points of every point, ascending by distance then index; shape (n, k)."""
-    return _k_nearest(index, k)
+    return _k_nearest(index, k)[0]
 
 
 class NeighborList:
@@ -130,17 +138,14 @@ class NeighborList:
     `update(cloud, moved)` returns what `k_nearest_all(build_index(cloud,
     metric), k)` returns, bit for bit, given that no point moved farther than
     `moved` under the metric since the previous call.  A rebuild runs exactly
-    that query and keeps each row's m = min(n, k+1+_EXTRA) tree candidates,
-    sorted by id, and its certificate radius rho_i: the tree distance of the
-    m-th candidate, or inf when every point is a candidate.  Later calls add
-    `moved` to the drift D and re-score only the cached candidates with the
-    query's own arithmetic, in (distance, id) order.  A point outside row i's
-    candidates started at least rho_i away, and both it and point i moved at
-    most D since, so it is still at least rho_i - 2D away (on the torus too).
-    A row whose k-th re-scored distance stays below that, with the tie guard,
-    is therefore exact; when any row is not, the table is rebuilt from the
-    current cloud.  No skin is tuned: each row's slack is its own gap between
-    rho_i and its k-th distance.
+    that query and keeps the tree candidates of each row i and its certificate
+    radius rho_i.  Later calls add `moved` to the drift D and run the query's
+    own selection on the cached candidates alone.  A point outside row i's candidates started at least
+    rho_i away, and both it and point i moved at most D since, so it is still
+    at least rho_i - 2D away (on the torus too): that is the row's certificate
+    radius now.  When any row fails it, the table is rebuilt from the current
+    cloud.  No skin is tuned: each row's slack is its own gap between rho_i
+    and its k-th distance.
     """
 
     def __init__(self, metric, k: int):
@@ -154,32 +159,13 @@ class NeighborList:
             self._drift += moved
             # rho_min <= 2D leaves that row no room even at distance 0
             if 2.0 * self._drift < self._rho_min:
-                pairs = self._rescore(np.asarray(cloud, dtype=float))
-                if pairs is not None:
+                x = np.asarray(cloud, dtype=float)
+                pairs, _, ok = _select(self.metric, x, np.arange(len(x)), self._cand,
+                                       self._rho - 2.0 * self._drift, self.k)
+                if ok.all():
                     return pairs
-        return self._rebuild(cloud)
-
-    def _rebuild(self, cloud):
-        index = build_index(cloud, self.metric)
-        pairs = k_nearest_all(index, self.k)
-        cand, self._rho = index._candidates
-        self._cand = np.sort(cand, axis=1)
-        self._own = np.nonzero(self._cand == np.arange(len(cand))[:, None])
+        pairs, self._cand, self._rho = _k_nearest(build_index(cloud, self.metric), self.k)
         self._rho_min = self._rho.min()
         self._drift = 0.0
         self.rebuilds += 1
         return pairs
-
-    def _rescore(self, x):
-        d2 = self.metric.distance2(x[:, None, :], x[self._cand])
-        d2[self._own] = np.inf      # a point is not its own neighbor
-        if self.k == 1:
-            # columns ascend by id, so argmin's first minimum is the lowest id
-            cols = np.argmin(d2, axis=1)[:, None]
-        else:
-            cols = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
-        dk = np.sqrt(np.take_along_axis(d2, cols[:, -1:], axis=1)[:, 0])
-        bound = (self._rho - 2.0 * self._drift) * (1.0 - _TIE_GUARD)
-        if not (dk * (1.0 + _TIE_GUARD) < bound).all():
-            return None
-        return np.take_along_axis(self._cand, cols, axis=1)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from ljlayer.analysis import distance_score
 from ljlayer.cli import main
-from ljlayer.geometry import icosphere, save_obj
+from ljlayer.geometry import icosphere, load_obj, noise_score, normalize_mesh, save_obj
+from ljlayer.pipelines import redistribute_on_mesh
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,17 @@ def test_redistribute_summary(tmp_path, capsys, sphere_obj):
     assert s["noise_score"] < 1e-6
     assert s["iterations"] >= 1
     assert np.loadtxt(out).shape == (50, 3)
+
+
+def test_redistribute_zero_steps_reports_the_projected_scores(capsys, sphere_obj):
+    s = summary_of(capsys, "redistribute", "--mesh", sphere_obj, "--n", "30", "--seed", "4",
+                   "--max-iter", "0")
+    assert s["iterations"] == 0
+    mesh = normalize_mesh(load_obj(sphere_obj))
+    cloud0 = np.random.default_rng(4).uniform(-1.0, 1.0, (30, 3))
+    cloud, _ = redistribute_on_mesh(cloud0, mesh, max_iter=0)
+    assert s["distance_score"] == distance_score(cloud)
+    assert s["noise_score"] == noise_score(cloud, mesh) < 1e-9
 
 
 def test_analyze_summary_and_artifacts(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Pair potential, force, schedules, and the damped update step."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,8 +129,10 @@ def test_params_validation():
         LjParams(clamp_lo_factor=2.0, clamp_hi_factor=1.0)
     with pytest.raises(ValueError):
         LjParams(k=0)
-    with pytest.raises(ValueError):
-        LjParams(k=1.5)
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            LjParams(k=bad)
+    assert type(LjParams(k=2.0).k) is int and LjParams(k=2.0) == LjParams(k=2)
 
 
 # ---------------------------------------------------------------- schedules
@@ -328,6 +332,25 @@ def test_step_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         lj_step(bad, ok, 0.1, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=st.sampled_from([(2, EUCLIDEAN), (3, EUCLIDEAN), (2, PERIODIC_UNIT)]),
+       n=st.integers(2, 30), k=st.integers(1, 4), scale=st.integers(-8, 8),
+       coincident=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_step_equals_the_axis_reduction(space, n, k, scale, coincident, seed):
+    # the per-component squared norm must add in the order (d * d).sum(axis=-1) does
+    dim, metric = space
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim)) * 10.0**scale
+    if coincident:
+        x[: n // 2] = x[-1]
+    pairs = rng.integers(0, n, (n, k))
+    p = LjParams(sigma=10.0**scale, k=k)
+    got = lj_step(x, pairs, 0.3, p, metric, np.random.default_rng(1))
+    with mock.patch("ljlayer.core.squared_norm", lambda d: (d * d).sum(axis=-1)):
+        expected = lj_step(x, pairs, 0.3, p, metric, np.random.default_rng(1))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_step_does_not_mutate_input():

@@ -212,6 +212,17 @@ def test_projector_rejects_bad_queries():
         proj.project(np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projector_rejects_non_finite_queries(bad):
+    mesh = icosphere(0)
+    q = np.zeros((3, 3))
+    q[1, 2] = bad
+    with pytest.raises(ValueError, match="query points contain non-finite coordinates"):
+        MeshProjector(mesh).project(q)
+    with pytest.raises(ValueError, match="query points contain non-finite coordinates"):
+        noise_score(q, mesh)
+
+
 def test_noise_score_zero_on_surface():
     mesh = icosphere(1)
     on = mesh.vertices[:20]

@@ -55,14 +55,18 @@ def test_lattice_tie_breaks_to_lowest_index():
 
 
 def test_many_duplicates_force_exhaustive_fallback():
-    # 12 coincident points exceed the tree's candidate budget for k=1, so the
-    # provably-complete check must trigger the ball rescan
-    x = np.vstack([np.full((12, 2), 0.25), [[0.9, 0.9], [0.8, 0.1]]])
-    index = build_index(x)
-    got = nearest_all(index)
-    np.testing.assert_array_equal(got, brute_k_nearest(x, EUCLIDEAN, 1)[:, 0])
-    assert got[0] == 1  # lowest co-located index other than itself
-    assert (got[1:12] == 0).all()
+    # 15 coincident points exceed the tree's candidate budget for k=1 and
+    # k=3, so the provably-complete check must trigger the ball rescan
+    x = np.vstack([np.full((15, 2), 0.25), [[0.9, 0.9], [0.8, 0.1]]])
+    for metric in (EUCLIDEAN, PERIODIC_UNIT):
+        index = build_index(x, metric)
+        got = nearest_all(index)
+        np.testing.assert_array_equal(got, brute_k_nearest(x, metric, 1)[:, 0])
+        assert got[0] == 1  # lowest co-located index other than itself
+        assert (got[1:15] == 0).all()
+        got = k_nearest_all(index, 3)
+        np.testing.assert_array_equal(got, brute_k_nearest(x, metric, 3))
+        np.testing.assert_array_equal(got[:2], [[1, 2, 3], [0, 2, 3]])
 
 
 def test_periodic_wraps_across_the_seam():
@@ -106,12 +110,18 @@ def test_query_validation():
     index = build_index(np.random.default_rng(2).random((6, 2)))
     with pytest.raises(ValueError):
         k_nearest_all(index, 0)
-    with pytest.raises(ValueError):
-        k_nearest_all(index, 1.5)
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            k_nearest_all(index, bad)
     with pytest.raises(ValueError):
         k_nearest_all(index, 6)  # only 5 other points exist
     with pytest.raises(ValueError):
         nearest_all(build_index(np.array([[0.0, 0.0]])))
+
+
+def test_integral_float_k_is_an_integer():
+    index = build_index(np.random.default_rng(4).random((20, 3)))
+    np.testing.assert_array_equal(k_nearest_all(index, 2.0), k_nearest_all(index, 2))
 
 
 def test_extreme_coordinates_raise_cleanly():
@@ -185,7 +195,13 @@ def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scale
     if kind == "coincident":
         x[: n // 2] = x[-1]
     nbrs = NeighborList(metric, k)
-    np.testing.assert_array_equal(nbrs.update(x), k_nearest_all(build_index(x, metric), k))
+
+    def check(pairs):
+        # the fresh query shares the list's selection routine; the oracle does not
+        np.testing.assert_array_equal(pairs, k_nearest_all(build_index(x, metric), k))
+        np.testing.assert_array_equal(pairs, brute_k_nearest(x, metric, k))
+
+    check(nbrs.update(x))
     for scale in scales:
         if kind == "grid":
             # eighths keep coordinates exact, so ties survive the move
@@ -199,8 +215,7 @@ def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scale
         new = metric.wrap(x + step)
         moved = _largest_move(metric, x, new)
         x = new
-        np.testing.assert_array_equal(nbrs.update(x, moved),
-                                      k_nearest_all(build_index(x, metric), k))
+        check(nbrs.update(x, moved))
     assert nbrs.rebuilds <= len(scales) + 1
 
 

@@ -157,6 +157,14 @@ def test_bluenoise_reports_stop_reason_and_rebuilds():
     assert rep.stop_reason == "max_iter" and rep.iterations == 7
 
 
+def test_bluenoise_integral_float_k_runs_as_the_integer():
+    sigma = sigma_prime(50)
+    a, ra = bluenoise_2d(50, params=LjParams(sigma=sigma, k=2.0), max_iter=3)
+    b, rb = bluenoise_2d(50, params=LjParams(sigma=sigma, k=2), max_iter=3)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ra.distance_trace, rb.distance_trace)
+
+
 def test_bluenoise_zero_alpha_stops_immediately():
     cloud = np.random.default_rng(1).random((20, 2))
     out, rep = bluenoise_2d(cloud, schedule=Schedule(alpha=0.0, beta=0.01))
