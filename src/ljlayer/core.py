@@ -182,7 +182,7 @@ def lj_step(cloud, pairs, dt, params: LjParams, metric: Metric = EUCLIDEAN, rng=
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
 
-    diff = metric.delta(x[:, None, :] - x[pairs])          # (n, k, d)
+    diff = metric.delta(x[:, None, :] - x.take(pairs, axis=0))  # (n, k, d)
     r_raw = np.sqrt(squared_norm(diff))                    # (n, k)
     unit = np.zeros_like(diff)
     ok = r_raw > COINCIDENT_TOL

@@ -5,7 +5,8 @@ Closest-point queries return the globally nearest point on the surface; when
 several faces are exactly equidistant the lowest face index wins.  The batched
 projector prunes faces with a centroid tree before running the exact
 per-triangle test, which by construction picks the same winner, bit for bit,
-as a scan over all faces.
+as a scan over all faces.  `FaceCache` keeps each moving point's candidate
+faces and re-queries only the rows whose answer it can no longer certify.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .metrics import squared_norm
+
 __all__ = [
     "TriangleMesh",
     "MeshProjector",
+    "FaceCache",
     "load_obj",
     "save_obj",
     "read_xyz",
@@ -235,19 +239,38 @@ def _closest_on_triangles(a, b, c, p):
     return out
 
 
+def _as_queries(points):
+    q = np.asarray(points, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise ValueError(f"query points must have shape (n, 3), got {q.shape}")
+    if q.shape[0] == 0:
+        raise ValueError("cannot project an empty cloud")
+    if not np.isfinite(q).all():
+        raise ValueError("query points contain non-finite coordinates")
+    return q
+
+
+_WIDTH = 12         # candidate faces per query before a row is re-queried wider
+_TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
+_TINY = 1e-12       # absolute slack for distances near zero
+
+
 class MeshProjector:
     """Reusable batched closest-point queries against one mesh.
 
     The nearest face centroid lies on its face, so the winner is no farther
-    than that, and only faces whose centroid lies within (nearest-centroid
+    than that, and only faces whose centroid lies within r = (nearest-centroid
     distance + the largest centroid-to-vertex reach) of the query can contain
     it; everything else is skipped.  Surviving faces are scored exactly and
-    the winner chosen by (distance, face index), matching a full scan.
+    the winner chosen by (distance, face index), matching a full scan.  The
+    projector keeps no query state; `FaceCache` reuses a query's candidates
+    for points that move.
     """
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         tri = mesh.vertices[mesh.faces]
+        self.n_faces = len(tri)
         self._a = np.ascontiguousarray(tri[:, 0])
         self._b = np.ascontiguousarray(tri[:, 1])
         self._c = np.ascontiguousarray(tri[:, 2])
@@ -257,28 +280,115 @@ class MeshProjector:
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
-        q = np.asarray(points, dtype=float)
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValueError(f"query points must have shape (n, 3), got {q.shape}")
-        if q.shape[0] == 0:
-            raise ValueError("cannot project an empty cloud")
-        if not np.isfinite(q).all():
-            raise ValueError("query points contain non-finite coordinates")
-        d_near = self._centroid_tree.query(q)[0]
-        radius = (d_near + self._reach) * (1.0 + 1e-9) + 1e-12
-        cand = self._centroid_tree.query_ball_point(q, radius)
-        counts = np.fromiter((len(c) for c in cand), dtype=np.intp, count=len(cand))
-        qid = np.repeat(np.arange(len(q)), counts)
-        fid = np.concatenate([np.asarray(c, dtype=np.intp) for c in cand])
+        q = _as_queries(points)
+        return self._best_of(q, self._candidates(q)[0])
 
-        cp = _closest_on_triangles(self._a[fid], self._b[fid], self._c[fid], q[qid])
-        d2 = ((q[qid] - cp) ** 2).sum(axis=1)
-        order = np.lexsort((fid, d2, qid))
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = qid[order][1:] != qid[order][:-1]
-        win = order[first]
-        return cp[win], fid[win], np.sqrt(d2[win])
+    def _candidates(self, q):
+        """Every face that can hold each query's closest point; returns (groups, r).
+
+        r is each row's radius; groups is a list of (rows, cand), where cand
+        holds each row's faces with a centroid within r, ascending by id and
+        padded with n_faces.  The first group covers every row, _WIDTH wide.
+        Rows that come back full are queried again, twice as wide, in the
+        next group; a row is complete in the last group that holds it.
+        """
+        nf = self.n_faces
+        k = min(_WIDTH, nf)
+        rows = np.arange(len(q))
+        d, fid = self._centroid_tree.query(q, k=k)
+        d, fid = d.reshape(len(q), k), fid.reshape(len(q), k)
+        r = (d[:, 0] + self._reach) * (1.0 + _TIE_GUARD) + _TINY
+        groups = []
+        while True:
+            inside = d <= r.take(rows)[:, None]
+            groups.append((rows, np.sort(np.where(inside, fid, nf), axis=1)))
+            full = inside[:, -1] & (k < nf)
+            if not full.any():
+                return groups, r
+            rows = rows[full]
+            k = min(2 * k, nf)
+            d, fid = self._centroid_tree.query(q.take(rows, axis=0), k=k)
+
+    def _best(self, q, cand):
+        """Closest point of each row's candidate faces: (points, faces, distances).
+
+        Rows ascend by face id with the pads last, so only the first count
+        columns of a row are scored, and argmin's first minimum is the
+        (distance, face id) winner.
+        """
+        real = cand < self.n_faces
+        count = real.sum(axis=1)
+        fid = cand[real]
+        # take() gathers rows several times faster than fancy indexing, same values
+        p = q.take(np.repeat(np.arange(len(q)), count), axis=0)
+        cp = _closest_on_triangles(self._a.take(fid, axis=0), self._b.take(fid, axis=0),
+                                   self._c.take(fid, axis=0), p)
+        d2 = np.full(cand.shape, np.inf)
+        d2[real] = ((p - cp) ** 2).sum(axis=1)
+        col = np.argmin(d2, axis=1)
+        win = np.cumsum(count) - count + col
+        return cp.take(win, axis=0), fid[win], np.sqrt(d2[np.arange(len(q)), col])
+
+    def _best_of(self, q, groups):
+        pts, faces, dist = self._best(q, groups[0][1])
+        for rows, cand in groups[1:]:
+            pts[rows], faces[rows], dist[rows] = self._best(q.take(rows, axis=0), cand)
+        return pts, faces, dist
+
+
+class FaceCache:
+    """Exact projections of moving points from the candidates of their last query.
+
+    `FaceCache(projector, points)` runs the projector's fresh query on points
+    and keeps, per row, the query point q0, its candidate faces and radius r;
+    `entry` is that projection.  `project(rows, q)` returns what
+    `projector.project(q)` returns, bit for bit.  A face outside a row's
+    candidates has its centroid farther than r from q0, so from q every
+    point of it lies farther than r - reach - |q - q0|: the mesh does not
+    move, only the query does.  A row whose best candidate lies, with the tie
+    guard, below that bound is exact, ties included.  Other rows, and rows
+    whose candidates did not fit _WIDTH columns (kept with r = -inf), are
+    queried fresh and their entries replaced; `requeries` counts them.
+    """
+
+    def __init__(self, projector: MeshProjector, points):
+        q = _as_queries(points)
+        self.projector = projector
+        self.requeries = 0
+        self._q0 = np.empty_like(q)
+        self._cand = np.empty((len(q), min(_WIDTH, projector.n_faces)), dtype=np.intp)
+        self._r = np.empty(len(q))
+        self.entry = self._fresh(np.arange(len(q)), q)
+
+    def _fresh(self, rows, q):
+        groups, r = self.projector._candidates(q)
+        if len(groups) > 1:
+            r[groups[1][0]] = -np.inf       # these rows did not fit the table
+        self._q0[rows] = q
+        self._cand[rows] = groups[0][1]
+        self._r[rows] = r
+        return self.projector._best_of(q, groups)
+
+    def project(self, rows, points):
+        """Project `points`, the new positions of the cache rows `rows` (an
+        integer array); returns (points, faces, distances)."""
+        q = _as_queries(points)
+        moved = np.sqrt(squared_norm(q - self._q0.take(rows, axis=0)))
+        # from q, every face outside a row's candidates lies farther than room
+        room = self._r.take(rows) - self.projector._reach - moved
+        live = np.flatnonzero(room > _TINY)     # no other row can be certified
+        best = self.projector._best(q.take(live, axis=0), self._cand.take(rows[live], axis=0))
+        ok = np.zeros(len(q), dtype=bool)
+        ok[live] = best[2] * (1.0 + _TIE_GUARD) + _TINY < room.take(live)
+        out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
+        for o, b in zip(out, best):
+            o[ok] = b[ok[live]]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            self.requeries += bad.size
+            for o, b in zip(out, self._fresh(rows[bad], q.take(bad, axis=0))):
+                o[bad] = b
+        return out
 
 
 def noise_score(cloud, mesh: TriangleMesh) -> float:

@@ -149,8 +149,10 @@ class NeighborList:
     """
 
     def __init__(self, metric, k: int):
+        if not (float(k).is_integer() and k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {k}")
         self.metric = get_metric(metric)
-        self.k = k
+        self.k = int(k)
         self.rebuilds = 0
         self._cand = None
 

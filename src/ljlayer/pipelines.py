@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import Scores, distance_score, increment_report
 from .core import LjParams, Schedule, dt_adaptive, dt_exponential, lj_step
-from .geometry import MeshProjector, TriangleMesh
+from .geometry import FaceCache, MeshProjector, TriangleMesh
 from .metrics import EUCLIDEAN, PERIODIC_UNIT
 from .neighbors import NeighborList, build_index, k_nearest_all
 
@@ -145,7 +145,9 @@ class RunReport:
     one on entry included; embed_refine keeps that table (k = 1) only for its
     trace, so with trace=False it reports 0.  stop_reason is "tol" when the
     loop stopped on a displacement below tol and "max_iter" when it ran
-    every step.
+    every step.  face_requeries counts the rows redistribute_on_mesh's face
+    cache sent to a fresh projection after the entry projection; it is 0 for
+    the other pipelines.
     """
 
     iterations: int
@@ -155,6 +157,7 @@ class RunReport:
     noise_trace: np.ndarray | None = None
     knn_rebuilds: int = 0
     stop_reason: str = "max_iter"
+    face_requeries: int = 0
 
     def __post_init__(self):
         if self.distance_trace is None:
@@ -181,6 +184,7 @@ class RunReport:
             "trace": trace,
             "knn_rebuilds": self.knn_rebuilds,
             "stop_reason": self.stop_reason,
+            "face_requeries": self.face_requeries,
         }
 
 
@@ -319,7 +323,10 @@ def redistribute_on_mesh(
     angle between its normal and its nearest neighbor's normal (< pi/4 to
     move), applies one pair-dynamics step to the gated points, and projects
     the moved points back to the surface.  Gated-out points keep their exact
-    coordinates for the iteration.  Returns (cloud, RunReport).
+    coordinates for the iteration.  Both projections per step, the moved
+    points and the noise trace's whole cloud, go through one FaceCache, which
+    returns what a fresh projection would, bit for bit.  Returns (cloud,
+    RunReport).
     """
     x0 = _as_cloud(cloud0, 3)
     n = len(x0)
@@ -331,22 +338,25 @@ def redistribute_on_mesh(
     params, schedule = _lj_setup("redistribute_on_mesh", n, params, schedule, sigma_multiplier)
 
     rng = np.random.default_rng(seed)
-    projector = MeshProjector(mesh)
-    cloud, faces, _ = projector.project(x0)
+    cache = FaceCache(MeshProjector(mesh), x0)
+    cloud, faces, _ = cache.entry
+    every = np.arange(n)
 
     def move(t, cloud, pairs):
-        normals = mesh.face_normals[faces]
-        gate = (normals * normals[pairs[:, 0]]).sum(axis=1) > _GATE_COS
+        normals = mesh.face_normals.take(faces, axis=0)
+        gate = (normals * normals.take(pairs[:, 0], axis=0)).sum(axis=1) > _GATE_COS
         stepped = lj_step(cloud, pairs, dt_exponential(t, schedule), params, EUCLIDEAN, rng)
         new = np.where(gate[:, None], stepped, cloud)
-        if gate.any():
-            new[gate], faces[gate], _ = projector.project(new[gate])
+        rows = np.flatnonzero(gate)
+        if rows.size:
+            new[rows], faces[rows], _ = cache.project(rows, new.take(rows, axis=0))
         return new
 
     def noise(cloud):
-        return float(projector.project(cloud)[2].mean())
+        return float(cache.project(every, cloud)[2].mean())
 
-    return _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed, noise)
+    cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed, noise)
+    return cloud, replace(report, face_requeries=cache.requeries)
 
 
 class UnitSphere:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ljlayer.geometry import (
+    FaceCache,
     MeshProjector,
     TriangleMesh,
     icosphere,
@@ -149,35 +152,125 @@ def test_projection_matches_reference_scan():
 
 def test_pruned_projection_equals_full_scan_bitwise():
     # same arithmetic with pruning disabled must give identical output,
-    # including ties resolved by face index
+    # including ties resolved by face index.  Queries far out or deep inside
+    # have more candidate faces than the first table holds and are re-queried
+    # wider; at the center of icosphere(3) every one of the 1280 faces is a
+    # candidate.
     from ljlayer.geometry import _closest_on_triangles
 
-    mesh = icosphere(2)
     rng = np.random.default_rng(5)
-    q = np.vstack([rng.uniform(-2, 2, (30, 3)), rng.uniform(-0.1, 0.1, (5, 3))])
-    pts, fids, dists = MeshProjector(mesh).project(q)
-    tri = mesh.vertices[mesh.faces]
-    nf = len(mesh.faces)
-    for i, p in enumerate(q):
-        cp = _closest_on_triangles(tri[:, 0], tri[:, 1], tri[:, 2],
-                                   np.broadcast_to(p, (nf, 3)))
-        d2 = ((p - cp) ** 2).sum(axis=1)
-        order = np.lexsort((np.arange(nf), d2))
-        j = order[0]
-        assert fids[i] == j
-        np.testing.assert_array_equal(pts[i], cp[j])
-        assert dists[i] == np.sqrt(d2[j])
+    q2 = np.vstack([rng.uniform(-2, 2, (30, 3)), rng.uniform(-0.1, 0.1, (5, 3))])
+    q2 = np.vstack([q2, rng.uniform(-3, 3, (20, 3))])
+    for mesh, q in ((icosphere(2), q2), (icosphere(3), np.zeros((1, 3)))):
+        proj = MeshProjector(mesh)
+        groups, _ = proj._candidates(q)
+        assert len(groups) > 1                     # the widening path ran
+        pts, fids, dists = proj.project(q)
+        tri = mesh.vertices[mesh.faces]
+        nf = len(mesh.faces)
+        for i, p in enumerate(q):
+            cp = _closest_on_triangles(tri[:, 0], tri[:, 1], tri[:, 2],
+                                       np.broadcast_to(p, (nf, 3)))
+            d2 = ((p - cp) ** 2).sum(axis=1)
+            order = np.lexsort((np.arange(nf), d2))
+            j = order[0]
+            assert fids[i] == j
+            np.testing.assert_array_equal(pts[i], cp[j])
+            assert dists[i] == np.sqrt(d2[j])
+        # the independent oracle may break a tie (the center of the sphere has
+        # many) for another face; its distance must agree all the same
+        ref_pts, ref_fids, ref_dists = brute_project(mesh, q)
+        np.testing.assert_allclose(dists, ref_dists, atol=1e-9)
+        same = fids == ref_fids
+        np.testing.assert_allclose(pts[same], ref_pts[same], atol=1e-9)
+    assert groups[-1][1].shape[1] == nf and (groups[-1][1] < nf).all()
+
+
+# a tent of two faces sharing the ridge x = 0, z = 1 (and two skirts);
+# points with x = 0 are exactly equidistant from faces 0 and 1
+TENT = TriangleMesh(np.array([[0.0, 0, 1], [0.0, 2, 1], [1.0, 0, 0], [1.0, 2, 0],
+                              [-1.0, 0, 0], [-1.0, 2, 0]]),
+                    np.array([[0, 1, 2], [0, 1, 4], [1, 2, 3], [1, 4, 5]]))
 
 
 def test_projection_tie_takes_lowest_face():
-    # a tent of two faces sharing the ridge; points on the symmetry plane are
-    # equidistant from both, so face 0 must win
-    v = np.array([[0.0, 0, 1], [0.0, 2, 1], [1.0, 0, 0], [1.0, 2, 0],
-                  [-1.0, 0, 0], [-1.0, 2, 0]])
-    m = TriangleMesh(v, np.array([[0, 1, 2], [0, 1, 4], [1, 2, 3], [1, 4, 5]]))
-    pts, fids, _ = MeshProjector(m).project([[0.0, 1.0, 3.0]])
+    # points on the tent's symmetry plane are equidistant from both roof
+    # faces, so face 0 must win
+    pts, fids, _ = MeshProjector(TENT).project([[0.0, 1.0, 3.0]])
     assert fids[0] == 0
     np.testing.assert_allclose(pts[0], [0.0, 1.0, 1.0], atol=1e-12)
+
+
+TRIANGLE = TriangleMesh(np.array([[0.0, 0, 0], [2.0, 0, 0], [0.0, 2, 0]]), np.array([[0, 1, 2]]))
+SPHERE = icosphere(2)
+
+
+def _slab():
+    """18 small triangles at z = 1.2 over one long, slightly tilted triangle.
+
+    Near the bounding box's center the small faces, 0.85 above, hold the
+    nearest centroids, but the long face passes 0.45 below while its
+    centroid lies 3 away; its reach puts every face in the row, more than
+    the first table holds.
+    """
+    g = np.linspace(-0.15, 0.15, 4)
+    top = np.array([[x, y, 1.2] for y in g for x in g])
+    quads = [(4 * j + i, 4 * j + i + 1, 4 * j + i + 5, 4 * j + i + 4)
+             for j in range(3) for i in range(3)]
+    faces = [f for a, b, c, d in quads for f in ((a, b, c), (a, c, d))]
+    long_face = np.array([[-9.0, -1, -0.5], [-9.0, 1, -0.5], [9.0, 0, 0.3]])
+    return TriangleMesh(np.vstack([top, long_face]), np.array(faces + [[16, 17, 18]]))
+
+
+SLAB = _slab()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=st.sampled_from(["sphere", "tent", "triangle", "slab"]),
+       kind=st.sampled_from(["surface", "around", "center", "ridge"]),
+       n=st.integers(1, 40),
+       scales=st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.02, 0.1, 0.2, 0.5, 3.0]),
+                       min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(mesh="sphere", kind="surface", n=20, scales=[0.2], seed=0)
+@example(mesh="sphere", kind="center", n=5, scales=[1e-3, 0.5], seed=0)
+@example(mesh="slab", kind="center", n=6, scales=[0.0, 1e-6], seed=0)
+@example(mesh="tent", kind="ridge", n=8, scales=[0.02, 0.1], seed=1)
+def test_face_cache_matches_a_fresh_projection_after_drifts(mesh, kind, n, scales, seed):
+    # "around" reaches the vertex and edge regions of each triangle; "center"
+    # starts deep inside the sphere or under the slab's small faces, where
+    # rows outgrow the first table; "ridge" keeps x = 0, so the tent's two
+    # roof faces tie exactly; drifts near the size of a face leave the
+    # certified region of some rows and not of others
+    m = {"sphere": SPHERE, "tent": TENT, "triangle": TRIANGLE, "slab": SLAB}[mesh]
+    proj = MeshProjector(m)
+    rng = np.random.default_rng(seed)
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+    if kind == "surface":
+        q = proj.project(rng.uniform(lo - 0.5, hi + 0.5, (n, 3)))[0]
+    elif kind == "center":
+        q = (lo + hi) / 2 + rng.uniform(-0.05, 0.05, (n, 3))
+    else:
+        q = rng.uniform(lo - 1.0, hi + 1.0, (n, 3))
+    ridge = kind == "ridge"
+    if ridge:
+        q[:, 0] = 0.0
+
+    def check(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    cache = FaceCache(proj, q)
+    check(cache.entry, proj.project(q))
+    for scale in scales:
+        rows = np.flatnonzero(rng.random(n) < 0.7)
+        if rows.size == 0:
+            rows = np.array([rng.integers(n)])
+        step = scale * rng.standard_normal((rows.size, 3))
+        if ridge:
+            step[:, 0] = 0.0
+        q[rows] += step
+        check(cache.project(rows, q[rows]), proj.project(q[rows]))
 
 
 def test_projection_is_idempotent():

@@ -233,3 +233,19 @@ def test_neighbor_list_rarely_rebuilds_a_slowly_moving_cloud(metric):
         np.testing.assert_array_equal(nbrs.update(x, moved),
                                       k_nearest_all(build_index(x, metric), 2))
     assert nbrs.rebuilds < steps
+
+
+def test_neighbor_list_takes_an_integral_float_k():
+    rng = np.random.default_rng(5)
+    x = rng.random((50, 2))
+    nbrs = NeighborList(EUCLIDEAN, 2.0)
+    assert nbrs.k == 2 and isinstance(nbrs.k, int)
+    np.testing.assert_array_equal(nbrs.update(x), k_nearest_all(build_index(x), 2))
+    new = x + 1e-6 * rng.standard_normal(x.shape)
+    moved = _largest_move(EUCLIDEAN, x, new)
+    # the second update selects from the cached candidates, with k as a slice bound
+    np.testing.assert_array_equal(nbrs.update(new, moved), k_nearest_all(build_index(new), 2))
+    assert nbrs.rebuilds == 1
+    for bad in (1.5, 0, -1, np.nan):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            NeighborList(EUCLIDEAN, bad)

@@ -8,7 +8,7 @@ import pytest
 
 from ljlayer.analysis import distance_score
 from ljlayer.core import LjParams, Schedule
-from ljlayer.geometry import MeshProjector, icosphere, normalize_mesh
+from ljlayer.geometry import FaceCache, MeshProjector, icosphere, normalize_mesh
 from ljlayer.metrics import PERIODIC_UNIT
 from ljlayer.pipelines import (
     Boundary,
@@ -256,6 +256,26 @@ def test_redistribute_antipodal_points_never_move(sphere):
     out, rep = redistribute_on_mesh(cloud0, sphere, max_iter=5, tol=0.0)
     np.testing.assert_array_equal(out, projected)
     assert rep.final_max_disp == 0.0
+
+
+def test_face_cache_requeries_few_rows(monkeypatch):
+    # the mesh benchmark's run: 2000 points from the cube onto icosphere(3)
+    projected = []
+    project = FaceCache.project
+
+    def counting(self, rows, points):
+        projected.append(len(rows))
+        return project(self, rows, points)
+
+    monkeypatch.setattr(FaceCache, "project", counting)
+    cloud0 = np.random.default_rng(0).uniform(-1, 1, (2000, 3))
+    _, rep = redistribute_on_mesh(cloud0, icosphere(3), schedule=Schedule(alpha=0.2, beta=0.05))
+    assert rep.stop_reason == "tol"
+    assert sum(projected) >= 2000 * rep.iterations   # the noise trace projects every row
+    assert 0 < rep.face_requeries <= 0.05 * sum(projected)
+    assert rep.to_dict()["face_requeries"] == rep.face_requeries
+    _, blue = bluenoise_2d(40, max_iter=5)
+    assert blue.face_requeries == 0 and blue.to_dict()["face_requeries"] == 0
 
 
 def test_redistribute_requires_normalized_mesh():
