@@ -40,7 +40,7 @@ def distance_score(cloud, metric=EUCLIDEAN) -> float:
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("distance_score needs at least 2 points")
     nn = nearest_all(build_index(x, metric))
-    return float(metric.distance(x, x[nn]).mean())
+    return float(metric.distance(x, x.take(nn, axis=0)).mean())
 
 
 def periodogram(cloud, fmax: int = 128):

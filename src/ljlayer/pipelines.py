@@ -147,7 +147,9 @@ class RunReport:
     loop stopped on a displacement below tol and "max_iter" when it ran
     every step.  face_requeries counts the rows redistribute_on_mesh's face
     cache sent to a fresh projection after the entry projection; it is 0 for
-    the other pipelines.
+    the other pipelines.  knn_rescans counts the rows of the knn_rebuilds that
+    their tree candidates could not certify, which an exhaustive ball query
+    answered instead; clipped clouds, whose edges pile points up, have many.
     """
 
     iterations: int
@@ -158,6 +160,7 @@ class RunReport:
     knn_rebuilds: int = 0
     stop_reason: str = "max_iter"
     face_requeries: int = 0
+    knn_rescans: int = 0
 
     def __post_init__(self):
         if self.distance_trace is None:
@@ -185,6 +188,7 @@ class RunReport:
             "knn_rebuilds": self.knn_rebuilds,
             "stop_reason": self.stop_reason,
             "face_requeries": self.face_requeries,
+            "knn_rescans": self.knn_rescans,
         }
 
 
@@ -250,7 +254,7 @@ def _relax(cloud, move, metric, k, steps, tol: float, seed, noise=None):
         iterations += 1
         if neighbors is not None:
             pairs = neighbors.update(cloud, disp)
-            trace_d.append(float(metric.distance(cloud, cloud[pairs[:, 0]]).mean()))
+            trace_d.append(float(metric.distance(cloud, cloud.take(pairs[:, 0], axis=0)).mean()))
         if noise is not None:
             trace_n.append(noise(cloud))
         if disp < tol:
@@ -259,7 +263,8 @@ def _relax(cloud, move, metric, k, steps, tol: float, seed, noise=None):
     report = RunReport(iterations, disp, seed,
                        None if trace_d is None else np.array(trace_d),
                        None if trace_n is None else np.array(trace_n),
-                       0 if neighbors is None else neighbors.rebuilds, stop_reason)
+                       0 if neighbors is None else neighbors.rebuilds, stop_reason,
+                       knn_rescans=0 if neighbors is None else neighbors.rescans)
     return cloud, report
 
 

@@ -181,6 +181,10 @@ def _largest_move(metric, old, new):
                        min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1))
 @example(space=(2, PERIODIC_UNIT), k=3, n=5, kind="seam", scales=[1e-3, 0.6], seed=0)
+# a large move makes the next rebuild narrow, with tied rows sent to the ball query;
+# the small ones after it widen the table again
+@example(space=(2, PERIODIC_UNIT), k=3, n=30, kind="grid", scales=[0.6, 0.03, 0.01, 0.01],
+         seed=3)
 def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scales, seed):
     # small n caches every point (m = n); larger n relies on the certificate
     dim, metric = space
@@ -233,6 +237,31 @@ def test_neighbor_list_rarely_rebuilds_a_slowly_moving_cloud(metric):
         np.testing.assert_array_equal(nbrs.update(x, moved),
                                       k_nearest_all(build_index(x, metric), 2))
     assert nbrs.rebuilds < steps
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT])
+def test_neighbor_list_widens_again_once_steps_slow_down(metric):
+    rng = np.random.default_rng(11)
+    x = rng.random((300, 2))
+    nbrs = NeighborList(metric, 2)
+    nbrs.update(x)
+
+    def step(length):
+        nonlocal x
+        turn = rng.uniform(0.0, 2.0 * np.pi, len(x))
+        new = metric.wrap(x + length * np.column_stack([np.cos(turn), np.sin(turn)]))
+        moved = _largest_move(metric, x, new)
+        x = new
+        np.testing.assert_array_equal(nbrs.update(x, moved), brute_k_nearest(x, metric, 2))
+
+    for _ in range(20):
+        step(0.2)       # farther than any row's certificate radius
+    assert nbrs._cand.shape[1] == 2 + 2      # such steps rebuild narrow
+    fast = nbrs.rebuilds
+    for _ in range(40):
+        step(1e-4)
+    # a list that stayed narrow would fail a row and rebuild on most slow steps
+    assert nbrs.rebuilds <= fast + 1
 
 
 def test_neighbor_list_takes_an_integral_float_k():

@@ -117,6 +117,7 @@ def test_run_report_trace_length_checked():
     assert d["trace"]["distance_score"] == [0.5, 0.6]
     assert "noise_score" not in d["trace"]
     assert d["knn_rebuilds"] == 0 and d["stop_reason"] == "max_iter"
+    assert d["knn_rescans"] == 0
     d = RunReport(2, 0.1, 7, np.array([0.5, 0.6]), knn_rebuilds=2, stop_reason="tol").to_dict()
     assert d["knn_rebuilds"] == 2 and d["stop_reason"] == "tol"
     with pytest.raises(ValueError):
@@ -155,6 +156,15 @@ def test_bluenoise_reports_stop_reason_and_rebuilds():
     assert 1 <= rep.knn_rebuilds < rep.iterations
     _, rep = bluenoise_2d(128, seed=0, max_iter=7)
     assert rep.stop_reason == "max_iter" and rep.iterations == 7
+
+
+def test_bluenoise_counts_rescans_where_clipping_piles_points_up():
+    # clipping stacks points on the square's edges and corners, where ties leave
+    # rows their tree candidates cannot certify; the torus has no such pile-ups
+    _, fixed = bluenoise_2d(300, boundary=Boundary.fixed(), seed=7, max_iter=40)
+    _, periodic = bluenoise_2d(300, seed=7, max_iter=40)
+    assert fixed.knn_rescans > 0 and fixed.to_dict()["knn_rescans"] == fixed.knn_rescans
+    assert periodic.knn_rescans == 0 and periodic.to_dict()["knn_rescans"] == 0
 
 
 def test_bluenoise_integral_float_k_runs_as_the_integer():
