@@ -39,8 +39,8 @@ def _emit(summary: dict) -> int:
 def _relax_command(args, n, pipeline, *inputs):
     """Run bluenoise_2d or redistribute_on_mesh from the flags the two share.
 
-    Writes --out and --report; returns (cloud, report, summary) with the
-    shared flags and results already in the summary.
+    Writes --out and --report; returns (cloud, summary) with the shared
+    flags and results already in the summary.
     """
     sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
     params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
@@ -59,7 +59,7 @@ def _relax_command(args, n, pipeline, *inputs):
         "iterations": report.iterations, "final_max_disp": report.final_max_disp,
         "cloud": args.cloud, "out": args.out, "report": args.report,
     }
-    return cloud, report, summary
+    return cloud, summary
 
 
 def _cmd_bluenoise(args) -> int:
@@ -70,12 +70,8 @@ def _cmd_bluenoise(args) -> int:
         cloud_or_n = args.n
         n = args.n
     boundary = pipelines.Boundary(args.boundary)
-    cloud, report, summary = _relax_command(args, n, pipelines.bluenoise_2d, cloud_or_n, boundary)
-    final_score = None
-    if report.iterations > 0:
-        final_score = float(report.distance_trace[-1])
-    elif n >= 2:
-        final_score = analysis.distance_score(cloud, boundary.metric)
+    cloud, summary = _relax_command(args, n, pipelines.bluenoise_2d, cloud_or_n, boundary)
+    final_score = analysis.distance_score(cloud, boundary.metric) if n >= 2 else None
     summary.update({"boundary": args.boundary, "distance_score": final_score})
     return _emit(summary)
 
@@ -86,14 +82,10 @@ def _cmd_redistribute(args) -> int:
         cloud0 = geometry.read_xyz(args.cloud)
     else:
         cloud0 = np.random.default_rng(args.seed).uniform(-1.0, 1.0, (args.n, 3))
-    cloud, report, summary = _relax_command(args, cloud0.shape[0],
-                                            pipelines.redistribute_on_mesh, cloud0, mesh)
-    if report.iterations > 0:
-        scores = float(report.distance_trace[-1]), float(report.noise_trace[-1])
-    else:
-        # the pipeline projects the cloud before its first step
-        scores = analysis.distance_score(cloud), geometry.noise_score(cloud, mesh)
-    summary.update({"mesh": args.mesh, "distance_score": scores[0], "noise_score": scores[1]})
+    cloud, summary = _relax_command(args, cloud0.shape[0],
+                                    pipelines.redistribute_on_mesh, cloud0, mesh)
+    summary.update({"mesh": args.mesh, "distance_score": analysis.distance_score(cloud),
+                    "noise_score": geometry.noise_score(cloud, mesh)})
     return _emit(summary)
 
 

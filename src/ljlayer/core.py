@@ -179,8 +179,8 @@ def lj_step(cloud, pairs, dt, params: LjParams, metric: Metric = EUCLIDEAN, rng=
         raise ValueError(f"pairs must assign partners to every point, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= x.shape[0]):
         raise ValueError("pairs contains out-of-range point indices")
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not (np.isfinite(dt) and dt >= 0):
+        raise ValueError(f"dt must be a finite number >= 0, got {dt}")
 
     diff = metric.delta(x[:, None, :] - x.take(pairs, axis=0))  # (n, k, d)
     r_raw = np.sqrt(squared_norm(diff))                    # (n, k)

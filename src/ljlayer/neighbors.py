@@ -169,6 +169,8 @@ class NeighborList:
         self._cand = None
 
     def update(self, cloud, moved: float = 0.0):
+        if moved < 0:       # NaN passes and forces a rebuild, whose index names it
+            raise ValueError(f"moved must be >= 0, got {moved}")
         if self._cand is not None:
             self._drift += moved
             # rho_min <= 2D leaves that row no room even at distance 0

@@ -140,7 +140,9 @@ class RunReport:
     """What a pipeline did: iteration count, last displacement, score traces.
 
     Traces hold one value per iteration; both are None when none was
-    recorded (embed_refine with trace=False).  knn_rebuilds counts the exact
+    recorded (embed_refine with trace=False).  Only embed_refine records a
+    noise trace, since only its refiner moves points off the surface; the
+    other pipelines leave it None.  knn_rebuilds counts the exact
     k-nearest-neighbor rebuilds of the relaxation loop's neighbor table, the
     one on entry included; embed_refine keeps that table (k = 1) only for its
     trace, so with trace=False it reports 0.  stop_reason is "tol" when the
@@ -235,10 +237,10 @@ def _relax(cloud, move, metric, k, steps, tol: float, seed, noise=None):
     the exact k-nearest-neighbor table of the current cloud.  A NeighborList
     keeps the table exact on every new cloud, given the step's largest
     per-point displacement under the metric; its first column gives the
-    distance trace, and noise(cloud), when given, the noise trace.  With k
-    None the loop keeps no table, pairs is None and no trace is recorded
-    (pass no noise then).  The loop stops after the first step whose
-    displacement falls below tol.
+    distance trace, and noise(cloud), when given (embed_refine's surface
+    distance), the noise trace.  With k None the loop keeps no table, pairs
+    is None and no trace is recorded (pass no noise then).  The loop stops
+    after the first step whose displacement falls below tol.
     """
     neighbors = None if k is None else NeighborList(metric, k)
     pairs = None if neighbors is None else neighbors.update(cloud)
@@ -328,10 +330,10 @@ def redistribute_on_mesh(
     angle between its normal and its nearest neighbor's normal (< pi/4 to
     move), applies one pair-dynamics step to the gated points, and projects
     the moved points back to the surface.  Gated-out points keep their exact
-    coordinates for the iteration.  Both projections per step, the moved
-    points and the noise trace's whole cloud, go through one FaceCache, which
-    returns what a fresh projection would, bit for bit.  Returns (cloud,
-    RunReport).
+    coordinates for the iteration.  Each step projects only the moved points,
+    through one FaceCache, which returns what a fresh projection would, bit
+    for bit.  The cloud is on the surface after every step, so the report
+    keeps no noise trace (it is None).  Returns (cloud, RunReport).
     """
     x0 = _as_cloud(cloud0, 3)
     n = len(x0)
@@ -345,7 +347,6 @@ def redistribute_on_mesh(
     rng = np.random.default_rng(seed)
     cache = FaceCache(MeshProjector(mesh), x0)
     cloud, faces, _ = cache.entry
-    every = np.arange(n)
 
     def move(t, cloud, pairs):
         normals = mesh.face_normals.take(faces, axis=0)
@@ -357,10 +358,7 @@ def redistribute_on_mesh(
             new[rows], faces[rows], _ = cache.project(rows, new.take(rows, axis=0))
         return new
 
-    def noise(cloud):
-        return float(cache.project(every, cloud)[2].mean())
-
-    cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed, noise)
+    cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed)
     return cloud, replace(report, face_requeries=cache.requeries)
 
 

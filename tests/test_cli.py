@@ -7,8 +7,9 @@ import pytest
 
 from ljlayer.analysis import distance_score
 from ljlayer.cli import main
+from ljlayer.core import LjParams, Schedule
 from ljlayer.geometry import icosphere, load_obj, noise_score, normalize_mesh, save_obj
-from ljlayer.pipelines import redistribute_on_mesh
+from ljlayer.pipelines import Boundary, bluenoise_2d, redistribute_on_mesh, sigma_prime
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,27 @@ def test_redistribute_zero_steps_reports_the_projected_scores(capsys, sphere_obj
     cloud, _ = redistribute_on_mesh(cloud0, mesh, max_iter=0)
     assert s["distance_score"] == distance_score(cloud)
     assert s["noise_score"] == noise_score(cloud, mesh) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_relax_summaries_score_the_final_cloud(capsys, sphere_obj, k):
+    for boundary in ("periodic", "fixed"):
+        s = summary_of(capsys, "bluenoise", "--n", "120", "--seed", "5", "--k", str(k),
+                       "--boundary", boundary, "--max-iter", "30")
+        assert s["iterations"] == 30
+        params = LjParams(epsilon=2.0, sigma=sigma_prime(120), k=k)
+        b = Boundary(boundary)
+        cloud, _ = bluenoise_2d(120, b, params, Schedule(alpha=0.5, beta=0.01), max_iter=30, seed=5)
+        assert s["distance_score"] == distance_score(cloud, b.metric)
+    s = summary_of(capsys, "redistribute", "--mesh", sphere_obj, "--n", "60", "--seed", "2",
+                   "--k", str(k), "--max-iter", "25")
+    assert s["iterations"] == 25
+    mesh = normalize_mesh(load_obj(sphere_obj))
+    cloud0 = np.random.default_rng(2).uniform(-1.0, 1.0, (60, 3))
+    params = LjParams(epsilon=2.0, sigma=sigma_prime(60) * 5.0, k=k)
+    cloud, _ = redistribute_on_mesh(cloud0, mesh, params, max_iter=25, seed=2)
+    assert s["distance_score"] == distance_score(cloud)
+    assert s["noise_score"] == noise_score(cloud, mesh)
 
 
 def test_analyze_summary_and_artifacts(tmp_path, capsys):

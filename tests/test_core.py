@@ -326,8 +326,9 @@ def test_step_input_validation():
         lj_step(x, np.array([1, 0]), 0.1, p)  # pairs shorter than the cloud
     with pytest.raises(ValueError):
         lj_step(x, np.array([1, 0, 0, 4]), 0.1, p)  # partner out of range
-    with pytest.raises(ValueError):
-        lj_step(x, ok, -0.1, p)
+    for dt in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be a finite number >= 0"):
+            lj_step(x, ok, dt, p)
     bad = x.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -264,6 +264,22 @@ def test_neighbor_list_widens_again_once_steps_slow_down(metric):
     assert nbrs.rebuilds <= fast + 1
 
 
+def test_neighbor_list_rejects_a_negative_move():
+    rng = np.random.default_rng(5)
+    x = rng.random((50, 2))
+    nbrs = NeighborList(EUCLIDEAN, 1)
+    nbrs.update(x)
+    x[0] = x[1] + 1e-4
+    # a negative move would shrink the drift and certify a stale table
+    with pytest.raises(ValueError, match="moved must be >= 0"):
+        nbrs.update(x, -5.0)
+    np.testing.assert_array_equal(nbrs.update(x, np.nan), k_nearest_all(build_index(x), 1))
+    assert nbrs.rebuilds == 2   # NaN certifies nothing: it rebuilds
+    x[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        nbrs.update(x, np.nan)
+
+
 def test_neighbor_list_takes_an_integral_float_k():
     rng = np.random.default_rng(5)
     x = rng.random((50, 2))

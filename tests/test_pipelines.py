@@ -248,7 +248,7 @@ def test_redistribute_spreads_and_stays_on_surface(sphere):
     assert proj.project(out)[2].max() < 1e-9
     start = distance_score(proj.project(cloud0)[0])
     assert distance_score(out) > 1.3 * start
-    assert rep.noise_trace[-1] < 1e-9
+    assert rep.noise_trace is None     # the cloud is on the surface after every step
 
 
 def test_redistribute_deterministic(sphere):
@@ -281,7 +281,7 @@ def test_face_cache_requeries_few_rows(monkeypatch):
     cloud0 = np.random.default_rng(0).uniform(-1, 1, (2000, 3))
     _, rep = redistribute_on_mesh(cloud0, icosphere(3), schedule=Schedule(alpha=0.2, beta=0.05))
     assert rep.stop_reason == "tol"
-    assert sum(projected) >= 2000 * rep.iterations   # the noise trace projects every row
+    assert len(projected) == rep.iterations   # one projection per step, of the moved rows
     assert 0 < rep.face_requeries <= 0.05 * sum(projected)
     assert rep.to_dict()["face_requeries"] == rep.face_requeries
     _, blue = bluenoise_2d(40, max_iter=5)
