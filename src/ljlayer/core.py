@@ -150,7 +150,7 @@ def _random_units(rng, count, dim):
     todo = np.arange(count)
     while todo.size:
         v = rng.standard_normal((todo.size, dim))
-        n = np.sqrt((v * v).sum(axis=1))
+        n = np.sqrt(squared_norm(v))
         ok = n > 1e-12
         out[todo[ok]] = v[ok] / n[ok, None]
         todo = todo[~ok]

@@ -57,7 +57,7 @@ class TriangleMesh:
         f.setflags(write=False)
         tri = v[f]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norms = np.sqrt((cross * cross).sum(axis=1))
+        norms = np.sqrt(squared_norm(cross))
         if np.any(norms <= 2.0 * DEGENERATE_AREA):
             raise ValueError("mesh contains degenerate (zero-area) faces")
         normals = cross / norms[:, None]
@@ -70,7 +70,7 @@ class TriangleMesh:
     def face_areas(self):
         tri = self.vertices[self.faces]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        return 0.5 * np.sqrt((cross * cross).sum(axis=1))
+        return 0.5 * np.sqrt(squared_norm(cross))
 
 
 def load_obj(path) -> TriangleMesh:
@@ -150,10 +150,7 @@ def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
     scale = half.max()
     if not scale > 0:
         raise ValueError("mesh has zero spatial extent")
-    out = TriangleMesh((mesh.vertices - (lo + hi) / 2.0) / scale, mesh.faces)
-    if np.any(out.face_areas <= DEGENERATE_AREA):
-        raise ValueError("mesh contains degenerate faces after normalization")
-    return out
+    return TriangleMesh((mesh.vertices - (lo + hi) / 2.0) / scale, mesh.faces)
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0
@@ -275,7 +272,7 @@ class MeshProjector:
         self._b = np.ascontiguousarray(tri[:, 1])
         self._c = np.ascontiguousarray(tri[:, 2])
         centroids = tri.mean(axis=1)
-        self._reach = float(np.sqrt(((tri - centroids[:, None, :]) ** 2).sum(axis=2)).max())
+        self._reach = float(np.sqrt(squared_norm(tri - centroids[:, None, :])).max())
         self._centroid_tree = cKDTree(centroids)
 
     def project(self, points):

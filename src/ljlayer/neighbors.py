@@ -5,8 +5,8 @@ brute-force scan, including tie-breaking: among equidistant candidates the
 lowest point index wins.  One routine, `_select`, re-scores candidate ids
 with the metric's arithmetic, takes them in (distance, id) order, and
 certifies a row when its k-th distance stays below the radius beyond which
-every point outside its candidates lies.  The rare row a tree query cannot
-certify is rescanned with an exhaustive ball query.
+every point outside its candidates lies.  The rare rows a tree query cannot
+certify go back through it in one batch, twice as wide, once per coincident group.
 
 `NeighborList` keeps that table for a moving cloud by selecting from the
 candidates of its last query, and rebuilds only when a row fails, querying
@@ -46,13 +46,13 @@ class SpatialIndex:
             raise ValueError("cloud contains non-finite coordinates")
         if metric.periodic and pts.shape[1] != 2:
             raise ValueError("periodic metric is defined for 2D clouds only")
+        pts = metric.wrap(pts)      # the tree and _select score the same coordinates
         pts.setflags(write=False)
         self.points = pts
         self.metric = metric
-        self._query_points = metric.wrap(pts) if metric.periodic else pts
         # sliding-midpoint splits build in about half the time of median splits and
         # query as fast; the tree only proposes candidates, which _select re-scores
-        self._tree = cKDTree(self._query_points, balanced_tree=False, compact_nodes=False,
+        self._tree = cKDTree(pts, balanced_tree=False, compact_nodes=False,
                              boxsize=1.0 if metric.periodic else None)
 
     @property
@@ -85,38 +85,40 @@ def _select(metric: Metric, x, rows, cand, rho, k: int):
     return np.take_along_axis(cand, cols, axis=1), dk, ok
 
 
-def _ball_exact(index: SpatialIndex, i: int, k: int, radius: float):
-    ball = np.sort(np.asarray(index._tree.query_ball_point(index._query_points[i], radius),
-                              dtype=np.intp))
-    return _select(index.metric, index.points, np.array([i]), ball[None, :], np.inf, k)[0][0]
+def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
+    """Exact kNN of rows (default: all); returns (table, cand, rho, dk, rescans).
 
-
-def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA):
-    """Exact kNN table plus what certifies it; returns (table, cand, rho, dk, rescans).
-
-    cand holds each row's m = min(n, k+1+extra) tree candidates, ascending,
-    and rho the tree distance of the m-th, or inf when every point is a
-    candidate: no point outside a row's candidates lies nearer than rho.  dk
-    is the k-th distance among the candidates and rescans the number of rows
-    they could not certify, which an exhaustive ball query answered instead.
+    cand holds each row's m = min(n, k+1+extra) tree candidates, ascending, and
+    rho the tree distance of the m-th, or inf when m = n: no point outside a
+    row's candidates lies nearer.  dk is the k-th distance among them, and
+    rescans counts the rows they leave uncertified.  Rows with equal
+    coordinates have equal distances, so each such group's lowest id's k+1
+    nearest, queried 2m wide, plus that id hold every member's k nearest.
     """
     n = index.n
     if not (float(k).is_integer() and 1 <= k <= n - 1):
         raise ValueError(f"k must be an integer in [1, {n - 1}], got {k}")
     k = int(k)
+    x = index.points
+    rows = np.arange(n) if rows is None else rows
     m = min(n, k + 1 + extra)
-    d_tree, cand = index._tree.query(index._query_points, k=m)
+    d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m)
     if cand.max() >= n:
         # scipy marks unreachable neighbors with index n; with finite inputs
         # that only happens when squared distances overflow
         raise ValueError("neighbor query failed; coordinates are too extreme")
     cand = np.sort(cand, axis=1)
-    rho = d_tree[:, -1] if m < n else np.full(n, np.inf)
-    table, dk, ok = _select(index.metric, index.points, np.arange(n), cand, rho, k)
-    unsafe = np.flatnonzero(~ok)
-    for r in unsafe:
-        table[r] = _ball_exact(index, int(r), k, dk[r] * (1.0 + _TIE_GUARD))
-    return table, cand, rho, dk, unsafe.size
+    rho = d_tree[:, -1] if m < n else np.full(len(rows), np.inf)
+    table, dk, ok = _select(index.metric, x, rows, cand, rho, k)
+    bad = np.flatnonzero(~ok & (m < n))
+    if bad.size:    # ravel(): the inverse's shape differs across numpy 2.0.x releases
+        _, first, group = np.unique(x.take(rows[bad], axis=0), axis=0,
+                                    return_index=True, return_inverse=True)
+        leads = rows[bad[first]]
+        near = _k_nearest(index, min(k + 1, n - 1), 2 * m, leads)[0]
+        held = np.sort(np.column_stack([near, leads])[group.ravel()], axis=1)
+        table[bad] = _select(index.metric, x, rows[bad], held, np.inf, k)[0]
+    return table, cand, rho, dk, bad.size
 
 
 def nearest_all(index: SpatialIndex):
@@ -155,8 +157,9 @@ class NeighborList:
     row), such a step would have used up that table's room in one go, so the
     rebuild queries k+2 candidates; otherwise, and on the first build, it
     queries wide.  The width decides which rows certify, never the table.
-    `rebuilds` counts the rebuilds and `rescans` the rows they answered with
-    an exhaustive ball query.
+    `rebuilds` counts the rebuilds and `rescans` the rows their first query
+    could not certify.  A periodic cloud must lie in [0, 1), as
+    `Boundary.apply` leaves it: cached candidates are scored on it as given.
     """
 
     def __init__(self, metric, k: int):

@@ -29,7 +29,7 @@ import numpy as np
 from .analysis import Scores, distance_score, increment_report
 from .core import LjParams, Schedule, dt_adaptive, dt_exponential, lj_step
 from .geometry import FaceCache, MeshProjector, TriangleMesh
-from .metrics import EUCLIDEAN, PERIODIC_UNIT
+from .metrics import EUCLIDEAN, PERIODIC_UNIT, squared_norm
 from .neighbors import NeighborList, build_index, k_nearest_all
 
 __all__ = [
@@ -150,8 +150,8 @@ class RunReport:
     every step.  face_requeries counts the rows redistribute_on_mesh's face
     cache sent to a fresh projection after the entry projection; it is 0 for
     the other pipelines.  knn_rescans counts the rows of the knn_rebuilds that
-    their tree candidates could not certify, which an exhaustive ball query
-    answered instead; clipped clouds, whose edges pile points up, have many.
+    their first tree query could not certify, which a wider query answered
+    instead; clipped clouds, whose edges pile points up, have many.
     """
 
     iterations: int
@@ -367,7 +367,7 @@ class UnitSphere:
 
     def closest(self, points):
         x = np.asarray(points, dtype=float)
-        r = np.sqrt((x * x).sum(axis=1, keepdims=True))
+        r = np.sqrt(squared_norm(x))[:, None]
         safe = np.where(r > 1e-12, r, 1.0)
         out = x / safe
         out[r[:, 0] <= 1e-12] = (1.0, 0.0, 0.0)  # center has no unique foot point
@@ -375,7 +375,7 @@ class UnitSphere:
 
     def distance(self, points):
         x = np.asarray(points, dtype=float)
-        return np.abs(np.sqrt((x * x).sum(axis=1)) - 1.0)
+        return np.abs(np.sqrt(squared_norm(x)) - 1.0)
 
 
 class MeshSurface:
@@ -565,7 +565,7 @@ def _init_cloud(config: EmbedConfig):
     if config.init == "gauss":
         return 0.5 * rng.standard_normal((config.n, 3))
     g = rng.standard_normal((config.n, 3))
-    r = np.sqrt((g * g).sum(axis=1, keepdims=True))
+    r = np.sqrt(squared_norm(g))[:, None]
     r[r < 1e-12] = 1.0
     return g / r + config.init_jitter * rng.standard_normal((config.n, 3))
 

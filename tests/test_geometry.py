@@ -337,6 +337,15 @@ def test_normalize_centers_and_scales():
     np.testing.assert_array_equal(out.faces, m.faces)
 
 
+def test_normalize_rejects_faces_the_scaling_makes_degenerate():
+    # area 2e-12 passes at extent 1e3; scaled by 1/500 it falls below DEGENERATE_AREA
+    v = np.array([[0.0, 0, 0], [2e-6, 0, 0], [0, 2e-6, 0], [1e3, 0, 0], [0, 1e3, 0]])
+    m = TriangleMesh(v, np.array([[0, 1, 2], [0, 3, 4]]))
+    assert m.face_areas[0] == pytest.approx(2e-12)
+    with pytest.raises(ValueError, match="degenerate"):
+        normalize_mesh(m)
+
+
 def test_normalize_is_idempotent_for_unit_meshes():
     m = icosphere(1)
     out = normalize_mesh(m)

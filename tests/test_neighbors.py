@@ -1,5 +1,7 @@
 """Indexed nearest-neighbor queries against a brute-force oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +58,7 @@ def test_lattice_tie_breaks_to_lowest_index():
 
 def test_many_duplicates_force_exhaustive_fallback():
     # 15 coincident points exceed the tree's candidate budget for k=1 and
-    # k=3, so the provably-complete check must trigger the ball rescan
+    # k=3, so the provably-complete check must trigger the wider re-query
     x = np.vstack([np.full((15, 2), 0.25), [[0.9, 0.9], [0.8, 0.1]]])
     for metric in (EUCLIDEAN, PERIODIC_UNIT):
         index = build_index(x, metric)
@@ -67,6 +69,52 @@ def test_many_duplicates_force_exhaustive_fallback():
         got = k_nearest_all(index, 3)
         np.testing.assert_array_equal(got, brute_k_nearest(x, metric, 3))
         np.testing.assert_array_equal(got[:2], [[1, 2, 3], [0, 2, 3]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=st.sampled_from([(2, EUCLIDEAN), (3, EUCLIDEAN), (2, PERIODIC_UNIT)]),
+       k=st.integers(1, 3), sizes=st.lists(st.integers(1, 25), min_size=1, max_size=8),
+       singles=st.integers(3, 20), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_duplicate_groups_match_brute_force(space, k, sizes, singles, grid, seed):
+    # groups of coincident points overflow the first query's candidates; on the
+    # torus, integer offsets make copies that wrap to equal or nearly equal points
+    dim, metric = space
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(0, 4, (len(sizes), dim)) / 4.0 if grid else rng.random((len(sizes), dim))
+    x = np.vstack([np.repeat(sites, sizes, axis=0), rng.random((singles, dim))])
+    x = x[rng.permutation(len(x))]
+    if metric.periodic:
+        x += rng.integers(-2, 3, x.shape)
+    np.testing.assert_array_equal(k_nearest_all(build_index(x, metric), k),
+                                  brute_k_nearest(metric.wrap(x), metric, k))
+
+
+def test_periodic_index_scores_the_wrapped_cloud():
+    # the copies of one torus point wrap to coordinates a rounding apart, so the
+    # tree and the re-score must both see the wrapped cloud
+    offsets = [(2, -1), (2, -2), (-2, -2), (1, 1), (-1, -2), (-1, -2), (1, 2), (0, -1), (0, -1),
+               (-2, -2), (1, 1)]
+    x = np.array([0.32, 0.03]) + np.array(offsets, dtype=float)
+    index = build_index(x, "periodic")
+    expected = brute_k_nearest(PERIODIC_UNIT.wrap(x), PERIODIC_UNIT, 3)
+    np.testing.assert_array_equal(nearest_all(index), expected[:, 0])
+    np.testing.assert_array_equal(k_nearest_all(index, 3), expected)
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT])
+@pytest.mark.parametrize("k", [1, 3])
+def test_coincident_points_take_one_query_per_round(metric, k):
+    # a per-row rescan of 8000 identical points is quadratic: several seconds
+    n = 8000
+    x = np.full((n, 2), 0.25)
+    expected = np.tile(np.arange(k), (n, 1))        # row i > k: ids 0..k-1
+    for i in range(k + 1):
+        expected[i] = [j for j in range(k + 1) if j != i]
+    start = time.perf_counter()
+    got = k_nearest_all(build_index(x, metric), k)
+    elapsed = time.perf_counter() - start
+    np.testing.assert_array_equal(got, expected)
+    assert elapsed < 3.0
 
 
 def test_periodic_wraps_across_the_seam():
@@ -181,7 +229,7 @@ def _largest_move(metric, old, new):
                        min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1))
 @example(space=(2, PERIODIC_UNIT), k=3, n=5, kind="seam", scales=[1e-3, 0.6], seed=0)
-# a large move makes the next rebuild narrow, with tied rows sent to the ball query;
+# a large move makes the next rebuild narrow, with tied rows sent to the wider query;
 # the small ones after it widen the table again
 @example(space=(2, PERIODIC_UNIT), k=3, n=30, kind="grid", scales=[0.6, 0.03, 0.01, 0.01],
          seed=3)
