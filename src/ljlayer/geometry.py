@@ -73,6 +73,13 @@ class TriangleMesh:
         return 0.5 * np.sqrt(squared_norm(cross))
 
 
+def _numbers(convert, tokens, path, ln):
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{ln}: {exc}") from None
+
+
 def load_obj(path) -> TriangleMesh:
     """Read the v/f subset of an OBJ file; larger polygons are fan-triangulated."""
     verts: list[list[float]] = []
@@ -85,11 +92,10 @@ def load_obj(path) -> TriangleMesh:
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise ValueError(f"{path}:{ln}: vertex needs 3 coordinates")
-                verts.append([float(x) for x in parts[1:4]])
+                verts.append(_numbers(float, parts[1:4], path, ln))
             elif parts[0] == "f":
                 idx = []
-                for tok in parts[1:]:
-                    i = int(tok.split("/")[0])
+                for i in _numbers(int, [tok.split("/")[0] for tok in parts[1:]], path, ln):
                     if i == 0:
                         raise ValueError(f"{path}:{ln}: face index 0 is invalid")
                     idx.append(i - 1 if i > 0 else len(verts) + i)
@@ -126,7 +132,7 @@ def read_xyz(path):
                 width = len(parts)
             elif len(parts) != width:
                 raise ValueError(f"{path}:{ln}: inconsistent dimension ({len(parts)} vs {width})")
-            rows.append([float(x) for x in parts])
+            rows.append(_numbers(float, parts, path, ln))
     if not rows:
         raise ValueError(f"{path}: no points found")
     return np.array(rows, dtype=float)
@@ -193,11 +199,15 @@ def icosphere(subdivisions: int = 2) -> TriangleMesh:
 
 
 def _dot(a, b):
-    return (a * b).sum(axis=-1)
+    # the +0.0 lead sums a row of -0.0 products to +0.0, as (a * b).sum(axis=-1) does
+    return (0.0 + a[:, 0] * b[:, 0]) + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
 def _closest_on_triangles(a, b, c, p):
-    """Closest point to p on each triangle (a, b, c); all inputs (m, 3)."""
+    """Closest point to p on each triangle (a, b, c); all inputs (m, 3).
+
+    Each row is classified once, into the first of Ericson's regions (Real-Time Collision
+    Detection, 5.1.5) whose test it passes; only that region's formula runs on it."""
     ab = b - a
     ac = c - a
     ap = p - a
@@ -212,27 +222,22 @@ def _closest_on_triangles(a, b, c, p):
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
-
+    region = np.select([(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3), (d6 >= 0) & (d5 <= d6),
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0), (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)], range(6), 6)
+    ia, ib, ic, iab, iac, ibc, iin = (np.flatnonzero(region == r) for r in range(7))
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
-
-    def settle(mask, value):
-        mask = mask & ~done
-        out[mask] = value[mask]
-        done[:] |= mask
-
+    out[ia], out[ib], out[ic] = a.take(ia, axis=0), b.take(ib, axis=0), c.take(ic, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        settle((d1 <= 0) & (d2 <= 0), a)                                    # vertex a
-        settle((d3 >= 0) & (d4 <= d3), b)                                   # vertex b
-        settle((d6 >= 0) & (d5 <= d6), c)                                   # vertex c
-        v = (d1 / (d1 - d3))[:, None]
-        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v * ab)               # edge ab
-        w = (d2 / (d2 - d6))[:, None]
-        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w * ac)               # edge ac
-        u = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[:, None]
-        settle((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + u * (c - b))  # edge bc
-        denom = (va + vb + vc)[:, None]
-        settle(~done, a + vb[:, None] / denom * ab + vc[:, None] / denom * ac)  # interior
+        v = d1[iab] / (d1[iab] - d3[iab])
+        out[iab] = a.take(iab, axis=0) + v[:, None] * ab.take(iab, axis=0)
+        w = d2[iac] / (d2[iac] - d6[iac])
+        out[iac] = a.take(iac, axis=0) + w[:, None] * ac.take(iac, axis=0)
+        u = (d4[ibc] - d3[ibc]) / ((d4[ibc] - d3[ibc]) + (d5[ibc] - d6[ibc]))
+        out[ibc] = b.take(ibc, axis=0) + u[:, None] * (c.take(ibc, axis=0) - b.take(ibc, axis=0))
+        denom = (va[iin] + vb[iin] + vc[iin])[:, None]
+        out[iin] = (a.take(iin, axis=0) + vb[iin, None] / denom * ab.take(iin, axis=0)
+                    + vc[iin, None] / denom * ac.take(iin, axis=0))
     return out
 
 
@@ -297,6 +302,8 @@ class MeshProjector:
         r = (d[:, 0] + self._reach) * (1.0 + _TIE_GUARD) + _TINY
         groups = []
         while True:
+            if fid.max() >= nf:     # scipy's unreachable mark: squared distances overflowed
+                raise ValueError("projection query failed; coordinates are too extreme")
             inside = d <= r.take(rows)[:, None]
             groups.append((rows, np.sort(np.where(inside, fid, nf), axis=1)))
             full = inside[:, -1] & (k < nf)
@@ -321,7 +328,7 @@ class MeshProjector:
         cp = _closest_on_triangles(self._a.take(fid, axis=0), self._b.take(fid, axis=0),
                                    self._c.take(fid, axis=0), p)
         d2 = np.full(cand.shape, np.inf)
-        d2[real] = ((p - cp) ** 2).sum(axis=1)
+        d2[real] = squared_norm(p - cp)
         col = np.argmin(d2, axis=1)
         win = np.cumsum(count) - count + col
         return cp.take(win, axis=0), fid[win], np.sqrt(d2[np.arange(len(q)), col])

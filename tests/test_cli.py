@@ -229,6 +229,20 @@ def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):
     assert main(["analyze", "--cloud", str(cloud)]) == 2  # needs 2D points
 
 
+def test_extreme_cloud_coordinates_exit_2(tmp_path, capsys, sphere_obj):
+    cloud = tmp_path / "far.xyz"
+    cloud.write_text("0 0 1\n1e160 0 0\n0 1 0\n")
+    assert main(["redistribute", "--mesh", sphere_obj, "--cloud", str(cloud)]) == 2
+    assert "coordinates are too extreme" in capsys.readouterr().err
+
+
+def test_malformed_number_exits_2_and_names_the_line(tmp_path, capsys):
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0\n1 zz\n")
+    assert main(["score", "--cloud", str(cloud)]) == 2
+    assert f"{cloud}:2: could not convert string to float: 'zz'" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(capsys, tmp_path):
     assert main(["score", "--cloud", str(tmp_path / "absent.xyz")]) == 1
 

@@ -9,6 +9,8 @@ from ljlayer.geometry import (
     FaceCache,
     MeshProjector,
     TriangleMesh,
+    _closest_on_triangles,
+    _dot,
     icosphere,
     load_obj,
     noise_score,
@@ -156,8 +158,6 @@ def test_pruned_projection_equals_full_scan_bitwise():
     # have more candidate faces than the first table holds and are re-queried
     # wider; at the center of icosphere(3) every one of the 1280 faces is a
     # candidate.
-    from ljlayer.geometry import _closest_on_triangles
-
     rng = np.random.default_rng(5)
     q2 = np.vstack([rng.uniform(-2, 2, (30, 3)), rng.uniform(-0.1, 0.1, (5, 3))])
     q2 = np.vstack([q2, rng.uniform(-3, 3, (20, 3))])
@@ -184,6 +184,118 @@ def test_pruned_projection_equals_full_scan_bitwise():
         same = fids == ref_fids
         np.testing.assert_allclose(pts[same], ref_pts[same], atol=1e-9)
     assert groups[-1][1].shape[1] == nf and (groups[-1][1] < nf).all()
+
+
+_COORDS = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[_COORDS] * 6), min_size=1, max_size=20))
+@example(rows=[(-0.0, 1.0, 2.0, 1.0, -0.0, -0.0)])     # every product is -0.0
+@example(rows=[(0.0, -0.0, 1.0, -3.0, 2.0, -0.0), (-0.0, -0.0, -0.0, -0.0, -0.0, -0.0)])
+def test_dot_equals_the_axis_reduction(rows):
+    # numpy's axis sum turns a row of -0.0 products into +0.0; a per-component
+    # sum must do the same and add in the same order
+    x = np.array(rows).reshape(-1, 2, 3)
+    a, b = x[:, 0], x[:, 1]
+    expected = (a * b).sum(axis=-1)
+    got = _dot(a, b)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def ericson_closest(a, b, c, p):
+    """Closest point on one triangle in plain Python floats, and its region.
+
+    A row-by-row transcription of Ericson, Real-Time Collision Detection
+    (2005), 5.1.5: the first region whose test holds, in the order vertex a,
+    b, c, edge ab, ac, bc, else the interior.  The dots lead with +0.0, as the
+    vectorised test's do, so both should agree to the bit.
+    """
+    def dot(u, v):
+        return (0.0 + u[0] * v[0]) + u[1] * v[1] + u[2] * v[2]
+
+    def sub(u, v):
+        return [x - y for x, y in zip(u, v)]
+
+    def along(s, t, e):
+        return [x + t * y for x, y in zip(s, e)]
+
+    ab, ac, ap, bp, cp = sub(b, a), sub(c, a), sub(p, a), sub(p, b), sub(p, c)
+    d1, d2, d3 = dot(ab, ap), dot(ac, ap), dot(ab, bp)
+    d4, d5, d6 = dot(ac, bp), dot(ab, cp), dot(ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    if d1 <= 0 and d2 <= 0:
+        return list(a), 0
+    elif d3 >= 0 and d4 <= d3:
+        return list(b), 1
+    elif d6 >= 0 and d5 <= d6:
+        return list(c), 2
+    elif vc <= 0 and d1 >= 0 and d3 <= 0:
+        return along(a, d1 / (d1 - d3), ab), 3
+    elif vb <= 0 and d2 >= 0 and d6 <= 0:
+        return along(a, d2 / (d2 - d6), ac), 4
+    elif va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        return along(b, (d4 - d3) / ((d4 - d3) + (d5 - d6)), sub(c, b)), 5
+    denom = va + vb + vc
+    return [x + vb / denom * y + vc / denom * z for x, y, z in zip(a, ab, ac)], 6
+
+
+def _signed_zeros(rng, x, share):
+    """x with about `share` of its entries replaced by +0.0 or -0.0."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice([0.0, -0.0], hit.sum())
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar=st.booleans(), share=st.sampled_from([0.0, 0.2, 0.5]),
+       scale=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
+@example(planar=True, share=0.5, scale=0, seed=0)
+def test_closest_on_triangles_equals_ericson_row_by_row(planar, share, scale, seed):
+    # each triangle gets one point in every region: past each vertex along its
+    # outer bisector, past the middle of each edge, and over the interior,
+    # plus the vertices themselves.  "planar" puts the triangle in z = +-0.0,
+    # so signed-zero products reach every dot
+    rng = np.random.default_rng(seed)
+    a, b, c, p = [], [], [], []
+    for _ in range(4):
+        t = _signed_zeros(rng, rng.standard_normal((3, 3)) * 10.0**scale, share)
+        if planar:
+            t[:, 2] = rng.choice([0.0, -0.0], 3)
+        n = np.cross(t[1] - t[0], t[2] - t[0])
+        if np.linalg.norm(n) <= 1e-3 * 100.0**scale:
+            continue                                    # keep the triangles non-degenerate
+        n /= np.linalg.norm(n)
+        unit = [(t[(i + 1) % 3] - t[i]) / np.linalg.norm(t[(i + 1) % 3] - t[i]) for i in range(3)]
+        out = [unit[i - 1] - unit[i] for i in range(3)]             # outer bisector at vertex i
+        mids = [(t[i] + t[(i + 1) % 3]) / 2 for i in range(3)]
+        edge_out = [np.cross(unit[i], n) for i in range(3)]          # away from the triangle
+        size = 10.0**scale * rng.uniform(0.1, 2.0, 7)
+        lift = 10.0**scale * rng.uniform(-1.0, 1.0, 7) * (not planar)
+        u, v = rng.dirichlet([1, 1, 1], 1)[0][:2]
+        pts = [t[i] + size[i] * out[i] for i in range(3)]
+        pts += [mids[i] + size[3 + i] * edge_out[i] for i in range(3)]
+        pts += [t[0] + u * (t[1] - t[0]) + v * (t[2] - t[0])]
+        pts = [q + h * n for q, h in zip(pts, lift)] + list(t)
+        if planar:
+            for q in pts:
+                q[2] = rng.choice([0.0, -0.0])
+        pts = _signed_zeros(rng, np.array(pts), share / 4)
+        a += [t[0]] * len(pts)
+        b += [t[1]] * len(pts)
+        c += [t[2]] * len(pts)
+        p += list(pts)
+    if not p:
+        return
+    a, b, c, p = (np.array(x) for x in (a, b, c, p))
+    got = _closest_on_triangles(a, b, c, p)
+    want, regions = zip(*(ericson_closest(*(x.tolist() for x in row)) for row in zip(a, b, c, p)))
+    assert got.tobytes() == np.array(want).tobytes()
+    if share == 0.0:
+        assert set(regions) == set(range(7))             # every region was exercised
 
 
 # a tent of two faces sharing the ridge x = 0, z = 1 (and two skirts);
@@ -305,6 +417,18 @@ def test_projector_rejects_bad_queries():
         proj.project(np.zeros((3, 2)))
 
 
+def test_projector_rejects_extreme_queries():
+    # scipy marks an unreachable centroid with index n_faces once squared
+    # distances overflow (|q| above about 1.3e154)
+    proj = MeshProjector(icosphere(2))
+    with pytest.raises(ValueError, match="coordinates are too extreme"):
+        proj.project([[1e160, 0.0, 0.0]])
+    cache = FaceCache(proj, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="coordinates are too extreme"):
+        cache.project(np.array([1]), np.array([[0.0, -1e160, 0.0]]))
+    assert proj.project([[1e150, 0.0, 0.0]])[2][0] == 1e150 - 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_projector_rejects_non_finite_queries(bad):
     mesh = icosphere(0)
@@ -391,6 +515,18 @@ def test_obj_errors(tmp_path):
         load_obj(p)
 
 
+def test_obj_names_the_line_of_a_bad_number(tmp_path):
+    p = tmp_path / "bad.obj"
+    p.write_text("v 0 0 0\nv 1 zz 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ValueError, match="could not convert") as err:
+        load_obj(p)
+    assert str(err.value).startswith(f"{p}:2: ")
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 2/1 x\n")
+    with pytest.raises(ValueError, match="invalid literal for int") as err:
+        load_obj(p)
+    assert str(err.value).startswith(f"{p}:5: ")
+
+
 def test_xyz_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     for dim in (2, 3):
@@ -415,3 +551,11 @@ def test_xyz_comments_and_errors(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(ValueError):
         read_xyz(p)
+
+
+def test_xyz_names_the_line_of_a_bad_number(tmp_path):
+    p = tmp_path / "c.xyz"
+    p.write_text("# header\n0 0\n1 zz\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'zz'") as err:
+        read_xyz(p)
+    assert str(err.value).startswith(f"{p}:3: ")
