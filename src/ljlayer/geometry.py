@@ -377,7 +377,8 @@ class FaceCache:
         """Project `points`, the new positions of the cache rows `rows` (an
         integer array); returns (points, faces, distances)."""
         q = _as_queries(points)
-        moved = np.sqrt(squared_norm(q - self._q0.take(rows, axis=0)))
+        with np.errstate(over="ignore"):    # an overflow leaves no room: a fresh query names it
+            moved = np.sqrt(squared_norm(q - self._q0.take(rows, axis=0)))
         # from q, every face outside a row's candidates lies farther than room
         room = self._r.take(rows) - self.projector._reach - moved
         live = np.flatnonzero(room > _TINY)     # no other row can be certified

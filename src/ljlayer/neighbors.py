@@ -1,17 +1,20 @@
 """Nearest-neighbor queries over an immutable point-cloud snapshot.
 
-A k-d tree accelerates the search, but results are guaranteed to match a
-brute-force scan, including tie-breaking: among equidistant candidates the
-lowest point index wins.  One routine, `_select`, re-scores candidate ids
-with the metric's arithmetic, takes them in (distance, id) order, and
-certifies a row when its k-th distance stays below the radius beyond which
-every point outside its candidates lies.  The rare rows a tree query cannot
-certify go back through it in one batch, twice as wide, once per coincident group.
+Clouds of more than _ALL_PAIRS points get a k-d tree; smaller ones score
+every pair, which costs less than building and querying a tree.  Either way
+results match a brute-force scan, including tie-breaking: among equidistant
+candidates the lowest point index wins.  One routine, `_select`, scores
+candidate ids with the metric's arithmetic, one coordinate at a time, takes
+them in (distance, id) order, and certifies a row when its k-th distance
+stays below the radius beyond which every point outside its candidates lies.
+The rare rows a tree query cannot certify go back through it in one batch,
+twice as wide, once per coincident group.
 
 `NeighborList` keeps that table for a moving cloud by selecting from the
 candidates of its last query, and rebuilds only when a row fails, querying
-few candidates while steps are too large for spare ones to pay.  The index
-keeps no query state.
+few candidates while steps are too large for spare ones to pay.  Every pair
+certifies every row, so a small cloud's list is built once.  The index keeps
+no query state.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ __all__ = [
     "NeighborList",
 ]
 
+_ALL_PAIRS = 128    # clouds up to this size score every pair: below it a tree costs more
 _EXTRA = 8          # candidates a wide query fetches beyond k+1
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 
 
 class SpatialIndex:
-    """Frozen snapshot of a point cloud plus its acceleration structure."""
+    """Frozen snapshot of a point cloud plus its k-d tree, or none: clouds of at
+    most _ALL_PAIRS points score every pair."""
 
     def __init__(self, points, metric: Metric = EUCLIDEAN):
         pts = np.array(points, dtype=float, copy=True)
@@ -52,8 +57,9 @@ class SpatialIndex:
         self.metric = metric
         # sliding-midpoint splits build in about half the time of median splits and
         # query as fast; the tree only proposes candidates, which _select re-scores
-        self._tree = cKDTree(pts, balanced_tree=False, compact_nodes=False,
-                             boxsize=1.0 if metric.periodic else None)
+        self._tree = None if len(pts) <= _ALL_PAIRS else cKDTree(
+            pts, balanced_tree=False, compact_nodes=False,
+            boxsize=1.0 if metric.periodic else None)
 
     @property
     def n(self) -> int:
@@ -64,25 +70,48 @@ def build_index(cloud, metric="euclidean") -> SpatialIndex:
     return SpatialIndex(cloud, get_metric(metric))
 
 
+def _distance2(metric: Metric, x, rows, cand):
+    """metric.distance2 on the gathered (rows, m, dim) stack, bit for bit, summed
+    one coordinate at a time in squared_norm's order; an overflow reads inf."""
+    with np.errstate(over="ignore"):
+        d = [metric.delta(x[:, j].take(rows)[:, None] - x[:, j].take(cand))
+             for j in range(x.shape[1])]
+        d2 = d[0] * d[0]
+        for dj in d[1:]:
+            d2 += dj * dj
+    return d2
+
+
 def _select(metric: Metric, x, rows, cand, rho, k: int):
     """The k nearest of each row's candidates and whether that is the exact answer.
 
-    cand holds each row's candidate ids, ascending; rho bounds from below the
+    cand holds each row's candidate ids, ascending, or is arange(n)[None, :],
+    every point in one row that all n rows share; rho bounds from below the
     distance of every point outside them.  Returns (table, dk, ok): the k
     candidates other than the row itself in (distance, id) order, the k-th
     distance, and ok where that distance is, with the tie guard, below rho.
+    An overflowed k-th distance reads inf and certifies nothing.
     """
-    # take() gathers rows several times faster than fancy indexing, same values
-    d2 = metric.distance2(x.take(rows, axis=0)[:, None, :], x.take(cand, axis=0))
-    d2[cand == rows[:, None]] = np.inf      # a point is not its own neighbor
-    if k == 1:
-        # columns ascend by id, so argmin's first minimum is the lowest id
-        cols = np.argmin(d2, axis=1)[:, None]
+    d2 = _distance2(metric, x, rows, cand)
+    flat = d2.reshape(-1)
+    starts = np.arange(0, flat.size, d2.shape[1])   # each row's offset in flat
+    shared = len(cand) < len(rows)      # column j of the shared row is point j
+    # a point is not its own neighbor
+    if shared:
+        flat[starts + rows] = np.inf
     else:
-        cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    dk = np.sqrt(np.take_along_axis(d2, cols[:, -1:], axis=1)[:, 0])
+        d2[cand == rows[:, None]] = np.inf
+    # k argmin passes, each masking its pick: columns ascend by id and argmin
+    # takes the first minimum, so picks come in (distance, id) order
+    cols = np.empty((len(rows), k), dtype=np.intp)
+    for i in range(k):
+        cols[:, i] = np.argmin(d2, axis=1)
+        picks = starts + cols[:, i]
+        d2k = flat.take(picks)
+        flat[picks] = np.inf
+    dk = np.sqrt(d2k)
     ok = dk * (1.0 + _TIE_GUARD) < rho * (1.0 - _TIE_GUARD)
-    return np.take_along_axis(cand, cols, axis=1), dk, ok
+    return (cols if shared else cand.take(starts[:, None] + cols)), dk, ok
 
 
 def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
@@ -90,10 +119,12 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
 
     cand holds each row's m = min(n, k+1+extra) tree candidates, ascending, and
     rho the tree distance of the m-th, or inf when m = n: no point outside a
-    row's candidates lies nearer.  dk is the k-th distance among them, and
-    rescans counts the rows they leave uncertified.  Rows with equal
-    coordinates have equal distances, so each such group's lowest id's k+1
-    nearest, queried 2m wide, plus that id hold every member's k nearest.
+    row's candidates lies nearer.  An index without a tree gives every row the
+    shared candidate row arange(n)[None, :] and rho = inf.  dk is the k-th
+    distance among them, and rescans counts the rows they leave uncertified.
+    Rows with equal coordinates have equal distances, so each such group's
+    lowest id's k+1 nearest, queried 2m wide, plus that id hold every
+    member's k nearest.
     """
     n = index.n
     if not (float(k).is_integer() and 1 <= k <= n - 1):
@@ -101,16 +132,21 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
     k = int(k)
     x = index.points
     rows = np.arange(n) if rows is None else rows
-    m = min(n, k + 1 + extra)
-    d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m)
-    if cand.max() >= n:
-        # scipy marks unreachable neighbors with index n; with finite inputs
-        # that only happens when squared distances overflow
-        raise ValueError("neighbor query failed; coordinates are too extreme")
-    cand = np.sort(cand, axis=1)
-    rho = d_tree[:, -1] if m < n else np.full(len(rows), np.inf)
+    if index._tree is None:
+        cand, rho = np.arange(n)[None, :], np.full(len(rows), np.inf)
+    else:
+        m = min(n, k + 1 + extra)
+        d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m)
+        if cand.max() >= n:
+            # scipy marks unreachable neighbors with index n; with finite inputs
+            # that only happens when squared distances overflow
+            raise ValueError("neighbor query failed; coordinates are too extreme")
+        cand = np.sort(cand, axis=1)
+        rho = d_tree[:, -1] if m < n else np.full(len(rows), np.inf)
     table, dk, ok = _select(index.metric, x, rows, cand, rho, k)
-    bad = np.flatnonzero(~ok & (m < n))
+    if not np.isfinite(dk).all():   # the scored distances overflowed
+        raise ValueError("neighbor query failed; coordinates are too extreme")
+    bad = np.flatnonzero(~ok)       # rho = inf certifies every finite dk
     if bad.size:    # ravel(): the inverse's shape differs across numpy 2.0.x releases
         _, first, group = np.unique(x.take(rows[bad], axis=0), axis=0,
                                     return_index=True, return_inverse=True)
@@ -142,14 +178,16 @@ class NeighborList:
     `update(cloud, moved)` returns what `k_nearest_all(build_index(cloud,
     metric), k)` returns, bit for bit, given that no point moved farther than
     `moved` under the metric since the previous call.  A rebuild runs exactly
-    that query and keeps the tree candidates of each row i and its certificate
+    that query and keeps the candidates of each row i and its certificate
     radius rho_i.  Later calls add `moved` to the drift D and run the query's
     own selection on the cached candidates alone.  A point outside row i's
     candidates started at least rho_i away, and both it and point i moved at
     most D since, so it is still at least rho_i - 2D away (on the torus too):
     that is the row's certificate radius now.  When any row fails it, the
     table is rebuilt from the current cloud.  No skin is tuned: each row's
-    slack is its own gap between rho_i and its k-th distance.
+    slack is its own gap between rho_i and its k-th distance.  A cloud of at
+    most _ALL_PAIRS points caches every point with rho_i = inf, so its list
+    is built once and re-scored on each update.
 
     Each rebuild takes its width from the step that forced it.  Spare
     candidates only let a table outlive later steps.  When 2 * moved is at
@@ -160,6 +198,7 @@ class NeighborList:
     `rebuilds` counts the rebuilds and `rescans` the rows their first query
     could not certify.  A periodic cloud must lie in [0, 1), as
     `Boundary.apply` leaves it: cached candidates are scored on it as given.
+    Every cloud must have the shape of the first.
     """
 
     def __init__(self, metric, k: int):
@@ -174,18 +213,22 @@ class NeighborList:
     def update(self, cloud, moved: float = 0.0):
         if moved < 0:       # NaN passes and forces a rebuild, whose index names it
             raise ValueError(f"moved must be >= 0, got {moved}")
+        x = np.asarray(cloud, dtype=float)
         if self._cand is not None:
+            if x.shape != self._shape:
+                raise ValueError(f"cloud has shape {x.shape}, but the neighbor list "
+                                 f"was built on shape {self._shape}")
             self._drift += moved
             # rho_min <= 2D leaves that row no room even at distance 0
             if 2.0 * self._drift < self._rho_min:
-                x = np.asarray(cloud, dtype=float)
                 pairs, _, ok = _select(self.metric, x, np.arange(len(x)), self._cand,
                                        self._rho - 2.0 * self._drift, self.k)
                 if ok.all():
                     return pairs
         narrow = self._cand is not None and 2.0 * moved >= self._slack
         pairs, self._cand, self._rho, dk, rescans = _k_nearest(
-            build_index(cloud, self.metric), self.k, 1 if narrow else _EXTRA)
+            build_index(x, self.metric), self.k, 1 if narrow else _EXTRA)
+        self._shape = x.shape
         if not narrow:
             self._slack = np.median(self._rho - dk)
         self._rho_min = self._rho.min()

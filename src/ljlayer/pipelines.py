@@ -151,7 +151,9 @@ class RunReport:
     cache sent to a fresh projection after the entry projection; it is 0 for
     the other pipelines.  knn_rescans counts the rows of the knn_rebuilds that
     their first tree query could not certify, which a wider query answered
-    instead; clipped clouds, whose edges pile points up, have many.
+    instead; clipped clouds, whose edges pile points up, have many.  A cloud
+    of at most neighbors._ALL_PAIRS (128) points scores every pair, so its
+    table is built once: knn_rebuilds reads 1 (0 untraced) and knn_rescans 0.
     """
 
     iterations: int

@@ -417,9 +417,10 @@ def test_projector_rejects_bad_queries():
         proj.project(np.zeros((3, 2)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_projector_rejects_extreme_queries():
     # scipy marks an unreachable centroid with index n_faces once squared
-    # distances overflow (|q| above about 1.3e154)
+    # distances overflow (|q| above about 1.3e154); no overflow warning comes first
     proj = MeshProjector(icosphere(2))
     with pytest.raises(ValueError, match="coordinates are too extreme"):
         proj.project([[1e160, 0.0, 0.0]])

@@ -1,12 +1,15 @@
 """Indexed nearest-neighbor queries against a brute-force oracle."""
 
+import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ljlayer import neighbors
 from ljlayer.metrics import EUCLIDEAN, PERIODIC_UNIT
 from ljlayer.neighbors import NeighborList, SpatialIndex, build_index, k_nearest_all, nearest_all
 
@@ -23,6 +26,11 @@ def brute_k_nearest(points, metric, k):
         row = order[i]
         out[i] = row[row != i][:k]
     return out
+
+
+def tree_unless(all_pairs: bool):
+    """Context in which indexes of more than one point build a tree unless all_pairs."""
+    return mock.patch.object(neighbors, "_ALL_PAIRS", neighbors._ALL_PAIRS if all_pairs else 1)
 
 
 # ------------------------------------------------------------------- oracle
@@ -58,10 +66,11 @@ def test_lattice_tie_breaks_to_lowest_index():
 
 def test_many_duplicates_force_exhaustive_fallback():
     # 15 coincident points exceed the tree's candidate budget for k=1 and
-    # k=3, so the provably-complete check must trigger the wider re-query
+    # k=3, so with a tree the provably-complete check must trigger the wider re-query
     x = np.vstack([np.full((15, 2), 0.25), [[0.9, 0.9], [0.8, 0.1]]])
-    for metric in (EUCLIDEAN, PERIODIC_UNIT):
-        index = build_index(x, metric)
+    for metric, all_pairs in itertools.product((EUCLIDEAN, PERIODIC_UNIT), (True, False)):
+        with tree_unless(all_pairs):
+            index = build_index(x, metric)
         got = nearest_all(index)
         np.testing.assert_array_equal(got, brute_k_nearest(x, metric, 1)[:, 0])
         assert got[0] == 1  # lowest co-located index other than itself
@@ -74,10 +83,13 @@ def test_many_duplicates_force_exhaustive_fallback():
 @settings(max_examples=150, deadline=None)
 @given(space=st.sampled_from([(2, EUCLIDEAN), (3, EUCLIDEAN), (2, PERIODIC_UNIT)]),
        k=st.integers(1, 3), sizes=st.lists(st.integers(1, 25), min_size=1, max_size=8),
-       singles=st.integers(3, 20), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_duplicate_groups_match_brute_force(space, k, sizes, singles, grid, seed):
+       singles=st.integers(3, 20), grid=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       all_pairs=st.booleans())
+def test_duplicate_groups_match_brute_force(space, k, sizes, singles, grid, seed, all_pairs):
     # groups of coincident points overflow the first query's candidates; on the
-    # torus, integer offsets make copies that wrap to equal or nearly equal points
+    # torus, integer offsets make copies that wrap to equal or nearly equal points.
+    # Most of these clouds are small enough to score every pair: all_pairs=False
+    # sends them through the tree
     dim, metric = space
     rng = np.random.default_rng(seed)
     sites = rng.integers(0, 4, (len(sizes), dim)) / 4.0 if grid else rng.random((len(sizes), dim))
@@ -85,8 +97,24 @@ def test_duplicate_groups_match_brute_force(space, k, sizes, singles, grid, seed
     x = x[rng.permutation(len(x))]
     if metric.periodic:
         x += rng.integers(-2, 3, x.shape)
-    np.testing.assert_array_equal(k_nearest_all(build_index(x, metric), k),
-                                  brute_k_nearest(metric.wrap(x), metric, k))
+    with tree_unless(all_pairs):
+        index = build_index(x, metric)
+    np.testing.assert_array_equal(k_nearest_all(index, k), brute_k_nearest(metric.wrap(x), metric, k))
+
+
+@pytest.mark.parametrize("n", [neighbors._ALL_PAIRS, neighbors._ALL_PAIRS + 1])
+@pytest.mark.parametrize("kind", ["uniform", "grid", "coincident"])
+@pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT])
+def test_all_pairs_and_tree_agree_at_the_crossover(n, kind, metric):
+    # the largest cloud that scores every pair and the smallest that builds a tree
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 4, (n, 2)) / 4.0 if kind == "grid" else rng.random((n, 2))
+    if kind == "coincident":
+        x[: n // 2] = x[-1]
+    index = build_index(x, metric)
+    assert (index._tree is None) == (n <= neighbors._ALL_PAIRS)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(k_nearest_all(index, k), brute_k_nearest(x, metric, k))
 
 
 def test_periodic_index_scores_the_wrapped_cloud():
@@ -172,12 +200,16 @@ def test_integral_float_k_is_an_integer():
     np.testing.assert_array_equal(k_nearest_all(index, 2.0), k_nearest_all(index, 2))
 
 
+@pytest.mark.filterwarnings("error")
 def test_extreme_coordinates_raise_cleanly():
-    # squared distances overflow the tree arithmetic; must not return garbage
-    x = np.array([[0.0, 0.0, 0.0], [1e200, 1e200, 1e200], [-1e200, 2e200, 0.0]])
-    index = build_index(x)
-    with pytest.raises(ValueError):
-        nearest_all(index)
+    # squared distances overflow the tree's arithmetic and the all-pairs scoring
+    # alike; must not return garbage, nor warn before it raises
+    far = np.array([[0.0, 0.0, 0.0], [1e200, 1e200, 1e200], [-1e200, 2e200, 0.0]])
+    near = np.random.default_rng(9).random((neighbors._ALL_PAIRS + 1 - len(far), 3))
+    for x in (far, np.vstack([far, near])):
+        index = build_index(x)
+        with pytest.raises(ValueError, match="coordinates are too extreme"):
+            nearest_all(index)
 
 
 def test_metric_name_roundtrip():
@@ -213,6 +245,48 @@ def test_distance2_equals_the_axis_reduction(metric, dim, n, m, scale, fortran, 
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from([EUCLIDEAN, PERIODIC_UNIT]), dim=st.sampled_from([2, 3]),
+       n=st.integers(2, 30), m=st.integers(1, 12), shared=st.booleans(), scale=st.integers(-8, 8),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_per_coordinate_scores_equal_the_gathered_stack(metric, dim, n, m, shared, scale,
+                                                        fortran, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim)) * 10.0**scale
+    if fortran:
+        x = np.asfortranarray(x)
+    rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+    cand = np.arange(n)[None, :] if shared else np.sort(rng.integers(0, n, (len(rows), m)), axis=1)
+    expected = metric.distance2(x.take(rows, axis=0)[:, None, :], x.take(cand, axis=0))
+    got = neighbors._distance2(metric, x, rows, cand)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from([EUCLIDEAN, PERIODIC_UNIT]), n=st.integers(2, 40),
+       m=st.integers(2, 16), k=st.integers(1, 5), shared=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_argmin_passes_take_lexsort_order(metric, n, m, k, shared, seed):
+    # quarter-grid coordinates tie many distances; each row keeps (distance, id) order
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, (n, 2)) / 4.0
+    rows = np.arange(n)
+    if shared:
+        cand = np.arange(n)[None, :]
+    else:   # distinct ascending ids that include the row itself, as a tree returns
+        m = min(m, n)
+        cand = np.sort([np.r_[i, rng.permutation(np.delete(rows, i))[: m - 1]] for i in rows])
+    k = min(k, cand.shape[1] - 1)
+    table, dk, _ = neighbors._select(metric, x, rows, cand, np.inf, k)
+    full = np.broadcast_to(cand, (n, cand.shape[1]))
+    for i in rows:
+        ids = full[i][full[i] != i]
+        d2 = metric.distance2(x[i], x.take(ids, axis=0))
+        order = np.lexsort((ids, d2))[:k]
+        np.testing.assert_array_equal(table[i], ids[order])
+        assert dk[i] == np.sqrt(d2[order[-1]])
+
+
 # ------------------------------------------------------------ neighbor list
 
 def _largest_move(metric, old, new):
@@ -227,14 +301,17 @@ def _largest_move(metric, old, new):
        kind=st.sampled_from(["uniform", "seam", "grid", "coincident"]),
        scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-5, 1e-3, 0.01, 0.03, 0.1, 0.6]),
                        min_size=1, max_size=12),
-       seed=st.integers(0, 2**32 - 1))
-@example(space=(2, PERIODIC_UNIT), k=3, n=5, kind="seam", scales=[1e-3, 0.6], seed=0)
+       seed=st.integers(0, 2**32 - 1), all_pairs=st.booleans())
+@example(space=(2, PERIODIC_UNIT), k=3, n=5, kind="seam", scales=[1e-3, 0.6], seed=0,
+         all_pairs=False)
 # a large move makes the next rebuild narrow, with tied rows sent to the wider query;
 # the small ones after it widen the table again
 @example(space=(2, PERIODIC_UNIT), k=3, n=30, kind="grid", scales=[0.6, 0.03, 0.01, 0.01],
-         seed=3)
-def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scales, seed):
-    # small n caches every point (m = n); larger n relies on the certificate
+         seed=3, all_pairs=False)
+def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scales, seed,
+                                                        all_pairs):
+    # every pair, or with a tree: small n caches every point (m = n), larger n
+    # relies on the certificate
     dim, metric = space
     n = max(n, k + 1)
     rng = np.random.default_rng(seed)
@@ -253,7 +330,8 @@ def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scale
         np.testing.assert_array_equal(pairs, k_nearest_all(build_index(x, metric), k))
         np.testing.assert_array_equal(pairs, brute_k_nearest(x, metric, k))
 
-    check(nbrs.update(x))
+    with tree_unless(all_pairs):
+        check(nbrs.update(x))
     for scale in scales:
         if kind == "grid":
             # eighths keep coordinates exact, so ties survive the move
@@ -267,8 +345,11 @@ def test_neighbor_list_matches_a_fresh_query_every_step(space, k, n, kind, scale
         new = metric.wrap(x + step)
         moved = _largest_move(metric, x, new)
         x = new
-        check(nbrs.update(x, moved))
+        with tree_unless(all_pairs):
+            check(nbrs.update(x, moved))
     assert nbrs.rebuilds <= len(scales) + 1
+    if all_pairs:
+        assert nbrs.rebuilds == 1 and nbrs.rescans == 0
 
 
 @pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT])
@@ -326,6 +407,17 @@ def test_neighbor_list_rejects_a_negative_move():
     x[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         nbrs.update(x, np.nan)
+
+
+def test_neighbor_list_rejects_a_cloud_of_another_shape():
+    rng = np.random.default_rng(6)
+    nbrs = NeighborList(EUCLIDEAN, 1)
+    nbrs.update(rng.random((50, 2)))
+    # stale 2D candidates would score the 3D cloud; 60 rows would outrun the table
+    for shape in ((50, 3), (60, 2)):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\).*\(50, 2\)"):
+            nbrs.update(rng.random(shape))
+    assert nbrs.rebuilds == 1
 
 
 def test_neighbor_list_takes_an_integral_float_k():
