@@ -3,10 +3,12 @@
 Meshes are plain vertex/face arrays with flat (per-face) unit normals.
 Closest-point queries return the globally nearest point on the surface; when
 several faces are exactly equidistant the lowest face index wins.  The batched
-projector prunes faces with a centroid tree before running the exact
-per-triangle test, which by construction picks the same winner, bit for bit,
-as a scan over all faces.  `FaceCache` keeps each moving point's candidate
-faces and re-queries only the rows whose answer it can no longer certify.
+projector prunes faces with a centroid tree, then runs the exact
+per-triangle test on the nearest centroid's face and on the candidates whose
+plane lies no farther than that face; by construction it picks the same
+winner, bit for bit, as a scan over all faces.  `FaceCache` keeps each moving
+point's candidate faces and re-queries only the rows whose answer it can no
+longer certify.
 """
 
 from __future__ import annotations
@@ -263,10 +265,11 @@ class MeshProjector:
     The nearest face centroid lies on its face, so the winner is no farther
     than that, and only faces whose centroid lies within r = (nearest-centroid
     distance + the largest centroid-to-vertex reach) of the query can contain
-    it; everything else is skipped.  Surviving faces are scored exactly and
-    the winner chosen by (distance, face index), matching a full scan.  The
-    projector keeps no query state; `FaceCache` reuses a query's candidates
-    for points that move.
+    it; everything else is skipped.  Of the surviving faces, the one with
+    the nearest centroid is scored exactly first, and then only those whose
+    plane lies within its distance; the winner is chosen by (distance, face
+    index), matching a full scan.  The projector keeps no query state;
+    `FaceCache` reuses a query's candidates for points that move.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -279,11 +282,20 @@ class MeshProjector:
         centroids = tri.mean(axis=1)
         self._reach = float(np.sqrt(squared_norm(tri - centroids[:, None, :])).max())
         self._centroid_tree = cKDTree(centroids)
+        normals = mesh.face_normals
+        offsets = _dot(normals, self._a)
+        self._miss = float(max(np.abs(_dot(normals, v) - offsets).max()
+                               for v in (self._b, self._c)))
+        # one coordinate per row; pad face n_faces has an infinite centroid and
+        # offset and a zero normal, so pad columns read infinite distance and bound
+        self._centroids = np.vstack([centroids, np.full(3, np.inf)]).T.copy()
+        self._normals = np.vstack([normals, np.zeros(3)]).T.copy()
+        self._offsets = np.append(offsets, np.inf)
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
         q = _as_queries(points)
-        return self._best_of(q, self._candidates(q)[0])
+        return self._best_of(q, self._candidates(q)[0])[:3]
 
     def _candidates(self, q):
         """Every face that can hold each query's closest point; returns (groups, r).
@@ -314,30 +326,51 @@ class MeshProjector:
             d, fid = self._centroid_tree.query(q.take(rows, axis=0), k=k)
 
     def _best(self, q, cand):
-        """Closest point of each row's candidate faces: (points, faces, distances).
+        """Closest point of each row's candidate faces: (points, faces, distances, tests).
 
-        Rows ascend by face id with the pads last, so only the first count
-        columns of a row are scored, and argmin's first minimum is the
-        (distance, face id) winner.
+        Each row's seed is the candidate with the nearest centroid; its exact
+        distance u bounds the winner's from above.  A face's plane distance
+        |n.q - o| bounds its own distance from below, up to _miss, the most a
+        rounded plane misses its own face's vertices by (1e-16 on well-shaped
+        faces, up to about 1e-10 on skinny ones).  A face whose plane lies
+        beyond u, with that slack and the tie guards, can neither win nor tie,
+        so only the seed and the faces it keeps get the exact test; tests
+        counts them.  Rows ascend by face id with the pads last, so argmin's
+        first minimum over the tested columns is the (distance, face id)
+        winner of a scan over them all.
         """
-        real = cand < self.n_faces
-        count = real.sum(axis=1)
-        fid = cand[real]
+        rows = np.arange(len(q))
+        qj = [q[:, j, None] for j in range(3)]
+        c2 = sum((c.take(cand) - x) ** 2 for c, x in zip(self._centroids, qj))
+        seed_col = np.argmin(c2, axis=1)
+        seed_cp, seed_d2 = self._exact(cand[rows, seed_col], q)
+        bound = np.sqrt(seed_d2) * (1.0 + _TIE_GUARD) + _TINY + self._miss
+        nx, ny, nz = (n.take(cand) for n in self._normals)
+        plane = np.abs((0.0 + nx * qj[0]) + ny * qj[1] + nz * qj[2] - self._offsets.take(cand))
+        keep = plane <= bound[:, None]
+        keep[rows, seed_col] = False
+        kr, kc = np.nonzero(keep)
+        cp, kept_d2 = self._exact(cand[kr, kc], q.take(kr, axis=0))
+        d2 = np.full(cand.shape, np.inf)
+        d2[rows, seed_col], d2[kr, kc] = seed_d2, kept_d2
+        pts = np.empty(cand.shape + (3,))
+        pts[rows, seed_col], pts[kr, kc] = seed_cp, cp
+        col = np.argmin(d2, axis=1)
+        return pts[rows, col], cand[rows, col], np.sqrt(d2[rows, col]), len(q) + len(kr)
+
+    def _exact(self, fid, p):
+        """Closest points of faces fid to the rows of p, and their squared distances."""
         # take() gathers rows several times faster than fancy indexing, same values
-        p = q.take(np.repeat(np.arange(len(q)), count), axis=0)
         cp = _closest_on_triangles(self._a.take(fid, axis=0), self._b.take(fid, axis=0),
                                    self._c.take(fid, axis=0), p)
-        d2 = np.full(cand.shape, np.inf)
-        d2[real] = squared_norm(p - cp)
-        col = np.argmin(d2, axis=1)
-        win = np.cumsum(count) - count + col
-        return cp.take(win, axis=0), fid[win], np.sqrt(d2[np.arange(len(q)), col])
+        return cp, squared_norm(p - cp)
 
     def _best_of(self, q, groups):
-        pts, faces, dist = self._best(q, groups[0][1])
+        pts, faces, dist, tests = self._best(q, groups[0][1])
         for rows, cand in groups[1:]:
-            pts[rows], faces[rows], dist[rows] = self._best(q.take(rows, axis=0), cand)
-        return pts, faces, dist
+            pts[rows], faces[rows], dist[rows], more = self._best(q.take(rows, axis=0), cand)
+            tests += more
+        return pts, faces, dist, tests
 
 
 class FaceCache:
@@ -352,17 +385,19 @@ class FaceCache:
     move, only the query does.  A row whose best candidate lies, with the tie
     guard, below that bound is exact, ties included.  Other rows, and rows
     whose candidates did not fit _WIDTH columns (kept with r = -inf), are
-    queried fresh and their entries replaced; `requeries` counts them.
+    queried fresh and their entries replaced; `requeries` counts them, and
+    `face_tests` the exact triangle tests of every `project` call.
     """
 
     def __init__(self, projector: MeshProjector, points):
         q = _as_queries(points)
         self.projector = projector
         self.requeries = 0
+        self.face_tests = 0
         self._q0 = np.empty_like(q)
         self._cand = np.empty((len(q), min(_WIDTH, projector.n_faces)), dtype=np.intp)
         self._r = np.empty(len(q))
-        self.entry = self._fresh(np.arange(len(q)), q)
+        self.entry = self._fresh(np.arange(len(q)), q)[:3]
 
     def _fresh(self, rows, q):
         groups, r = self.projector._candidates(q)
@@ -382,7 +417,9 @@ class FaceCache:
         # from q, every face outside a row's candidates lies farther than room
         room = self._r.take(rows) - self.projector._reach - moved
         live = np.flatnonzero(room > _TINY)     # no other row can be certified
-        best = self.projector._best(q.take(live, axis=0), self._cand.take(rows[live], axis=0))
+        *best, tests = self.projector._best(q.take(live, axis=0),
+                                            self._cand.take(rows[live], axis=0))
+        self.face_tests += tests
         ok = np.zeros(len(q), dtype=bool)
         ok[live] = best[2] * (1.0 + _TIE_GUARD) + _TINY < room.take(live)
         out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
@@ -391,7 +428,9 @@ class FaceCache:
         bad = np.flatnonzero(~ok)
         if bad.size:
             self.requeries += bad.size
-            for o, b in zip(out, self._fresh(rows[bad], q.take(bad, axis=0))):
+            *fresh, tests = self._fresh(rows[bad], q.take(bad, axis=0))
+            self.face_tests += tests
+            for o, b in zip(out, fresh):
                 o[bad] = b
         return out
 

@@ -35,6 +35,7 @@ __all__ = [
 _ALL_PAIRS = 128    # clouds up to this size score every pair: below it a tree costs more
 _EXTRA = 8          # candidates a wide query fetches beyond k+1
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
+_FAR = np.sqrt(np.finfo(float).max)     # the shortest distance whose square overflows
 
 
 class SpatialIndex:
@@ -119,9 +120,12 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
 
     cand holds each row's m = min(n, k+1+extra) tree candidates, ascending, and
     rho the tree distance of the m-th, or inf when m = n: no point outside a
-    row's candidates lies nearer.  An index without a tree gives every row the
-    shared candidate row arange(n)[None, :] and rho = inf.  dk is the k-th
-    distance among them, and rescans counts the rows they leave uncertified.
+    row's candidates lies nearer.  A row with fewer than m points nearer than
+    _FAR, where squared distances overflow, holds those points, and rho is
+    _FAR.  An index without a tree gives every row the shared candidate row
+    arange(n)[None, :] and rho = inf.  Either way only an overflowing k-th
+    distance raises.  dk is the k-th distance among them, and rescans counts
+    the rows they leave uncertified.
     Rows with equal coordinates have equal distances, so each such group's
     lowest id's k+1 nearest, queried 2m wide, plus that id hold every
     member's k nearest.
@@ -137,12 +141,13 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
     else:
         m = min(n, k + 1 + extra)
         d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m)
-        if cand.max() >= n:
-            # scipy marks unreachable neighbors with index n; with finite inputs
-            # that only happens when squared distances overflow
-            raise ValueError("neighbor query failed; coordinates are too extreme")
-        cand = np.sort(cand, axis=1)
+        # scipy marks a neighbor at an overflowing squared distance with index n,
+        # so such a row's real candidates are every point nearer than _FAR; its
+        # own id fills the marked slots, and _select masks it
+        far = cand[:, -1] >= n
+        cand = np.sort(np.where(cand < n, cand, rows[:, None]), axis=1)
         rho = d_tree[:, -1] if m < n else np.full(len(rows), np.inf)
+        rho[far] = _FAR
     table, dk, ok = _select(index.metric, x, rows, cand, rho, k)
     if not np.isfinite(dk).all():   # the scored distances overflowed
         raise ValueError("neighbor query failed; coordinates are too extreme")

@@ -148,10 +148,12 @@ class RunReport:
     trace, so with trace=False it reports 0.  stop_reason is "tol" when the
     loop stopped on a displacement below tol and "max_iter" when it ran
     every step.  face_requeries counts the rows redistribute_on_mesh's face
-    cache sent to a fresh projection after the entry projection; it is 0 for
-    the other pipelines.  knn_rescans counts the rows of the knn_rebuilds that
-    their first tree query could not certify, which a wider query answered
-    instead; clipped clouds, whose edges pile points up, have many.  A cloud
+    cache sent to a fresh projection after the entry projection, and
+    face_tests the exact triangle tests that cache ran after it, re-queried
+    rows included; both are 0 for the other pipelines.  knn_rescans counts
+    the rows of the knn_rebuilds that their first tree query could not
+    certify, which a wider query answered instead; clipped clouds, whose
+    edges pile points up, have many.  A cloud
     of at most neighbors._ALL_PAIRS (128) points scores every pair, so its
     table is built once: knn_rebuilds reads 1 (0 untraced) and knn_rescans 0.
     """
@@ -165,6 +167,7 @@ class RunReport:
     stop_reason: str = "max_iter"
     face_requeries: int = 0
     knn_rescans: int = 0
+    face_tests: int = 0
 
     def __post_init__(self):
         if self.distance_trace is None:
@@ -193,6 +196,7 @@ class RunReport:
             "stop_reason": self.stop_reason,
             "face_requeries": self.face_requeries,
             "knn_rescans": self.knn_rescans,
+            "face_tests": self.face_tests,
         }
 
 
@@ -361,7 +365,7 @@ def redistribute_on_mesh(
         return new
 
     cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed)
-    return cloud, replace(report, face_requeries=cache.requeries)
+    return cloud, replace(report, face_requeries=cache.requeries, face_tests=cache.face_tests)
 
 
 class UnitSphere:

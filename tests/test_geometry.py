@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ljlayer.geometry import (
+    DEGENERATE_AREA,
     FaceCache,
     MeshProjector,
     TriangleMesh,
@@ -19,6 +20,7 @@ from ljlayer.geometry import (
     save_obj,
     write_xyz,
 )
+from ljlayer.metrics import squared_norm
 
 
 def closest_on_triangle_reference(a, b, c, p):
@@ -383,6 +385,123 @@ def test_face_cache_matches_a_fresh_projection_after_drifts(mesh, kind, n, scale
             step[:, 0] = 0.0
         q[rows] += step
         check(cache.project(rows, q[rows]), proj.project(q[rows]))
+
+
+def _fan():
+    """Eight skinny triangles, about 1 long and 1e-6 wide, fanned around one
+    vertex along a direction off the axes, and folded so that neighbors tilt
+    against each other: their rounded planes miss their own far vertices by
+    about 4e-11, far more than a well-shaped face's 1e-16."""
+    d = np.array([0.48, -0.62, 0.37])
+    d /= np.linalg.norm(d)
+    e = np.array([0.2, 0.9, -0.3]) - np.dot([0.2, 0.9, -0.3], d) * d
+    e /= np.linalg.norm(e)
+    i = np.arange(9)[:, None]
+    apex = np.array([0.31, -0.17, 0.05])
+    rim = apex + np.where(i % 2, 0.55, 1.0) * (d + 1e-6 * i * e + 0.5e-6 * (i % 2) * np.cross(d, e))
+    return TriangleMesh(np.vstack([apex, rim]), np.array([[0, j, j + 1] for j in range(1, 9)]))
+
+
+FAN = _fan()
+# two roof faces on the planes x + z = 1 and -x + z = 1, so points with x = 0
+# are equidistant from both, as on TENT; but face 0 is the larger, with the
+# farther centroid, so face 1 seeds the rows that face 0 wins on the tie
+LEAN = TriangleMesh(np.array([[0.0, 0, 1], [0.0, 4, 1], [2.0, 0, -1], [-1.0, 0, 0]]),
+                    np.array([[0, 1, 2], [0, 1, 3]]))
+MESHES = {"sphere": SPHERE, "tent": TENT, "triangle": TRIANGLE, "slab": SLAB, "fan": FAN,
+          "lean": LEAN}
+
+
+def test_plane_slack_covers_skinny_faces():
+    # the fan's faces are valid, about 1e6 times longer than they are wide,
+    # and their rounded planes miss their own vertices by far more than _TINY
+    tri = FAN.vertices[FAN.faces]
+    longest = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).max(axis=1)
+    aspect = longest ** 2 / (2 * FAN.face_areas)       # longest edge over its height
+    assert (FAN.face_areas > DEGENERATE_AREA).all()
+    assert (aspect > 5e5).all() and (aspect < 2e6).all()
+    assert MeshProjector(FAN)._miss > 1e-11 > 1e-15 > MeshProjector(SPHERE)._miss
+
+
+def unpruned_best(proj, q, cand):
+    """Every real candidate column through the exact test; the (distance, id) winner."""
+    out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
+    for i, (p, row) in enumerate(zip(q, cand)):
+        ids = row[row < proj.n_faces]
+        cp = _closest_on_triangles(proj._a[ids], proj._b[ids], proj._c[ids],
+                                   np.broadcast_to(p, (len(ids), 3)))
+        d2 = squared_norm(p - cp)
+        j = np.lexsort((ids, d2))[0]
+        out[0][i], out[1][i], out[2][i] = cp[j], ids[j], np.sqrt(d2[j])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=st.sampled_from(sorted(MESHES)), kind=st.sampled_from(["surface", "inside", "far"]),
+       scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 3.0]),
+       ridge=st.booleans(), cached=st.booleans(), n=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+@example(mesh="fan", kind="surface", scale=0.0, ridge=False, cached=False, n=30, seed=1)
+@example(mesh="fan", kind="surface", scale=1e-12, ridge=False, cached=True, n=30, seed=1)
+@example(mesh="tent", kind="surface", scale=0.1, ridge=True, cached=True, n=20, seed=2)
+@example(mesh="lean", kind="surface", scale=0.0, ridge=True, cached=False, n=5, seed=0)
+@example(mesh="sphere", kind="far", scale=0.0, ridge=False, cached=False, n=10, seed=3)
+def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n, seed):
+    # "surface" moves projected points by scale in a random direction and
+    # "inside" starts near the bounding box's center, where rows outgrow the
+    # first table; "far" lies 1e3 to 1e6 out.  cached scores the moved points
+    # against the candidates of where they started, as FaceCache does, so the
+    # seed need not be near them; ridge puts x = 0, where the tent's roof
+    # faces tie exactly, and so do the lean roof's.  On the fan, a bound
+    # without the plane slack _miss prunes faces that win (the first
+    # example); on the lean roof, one without the tie guards does
+    m = MESHES[mesh]
+    proj = MeshProjector(m)
+    rng = np.random.default_rng(seed)
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+    direction = rng.standard_normal((n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    if kind == "surface":
+        q0 = proj.project(rng.uniform(lo - 0.5, hi + 0.5, (n, 3)))[0]
+        q = q0 + scale * direction
+    elif kind == "inside":
+        q0 = q = (lo + hi) / 2 + 0.05 * (hi - lo) * rng.uniform(-1, 1, (n, 3))
+    else:
+        q0 = q = direction * 10.0 ** rng.uniform(3, 6, (n, 1))
+    if ridge:
+        q[:, 0] = 0.0
+    for rows, cand in proj._candidates(q0 if cached else q)[0]:
+        got = proj._best(q.take(rows, axis=0), cand)
+        for g, w in zip(got, unpruned_best(proj, q.take(rows, axis=0), cand)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert len(rows) <= got[3] <= (cand < proj.n_faces).sum()
+
+
+def test_plane_bound_prunes_most_candidates():
+    # points on icosphere(3) that moved by 1e-3 keep their last query's table,
+    # as in FaceCache, and need fewer than 2 exact tests each of about 6
+    proj = MeshProjector(icosphere(3))
+    rng = np.random.default_rng(12)
+    q0 = proj.project(rng.uniform(-1, 1, (2000, 3)))[0]
+    step = rng.standard_normal(q0.shape)
+    q = q0 + 1e-3 * step / np.linalg.norm(step, axis=1)[:, None]
+    cand = proj._candidates(q0)[0][0][1]
+    tests = proj._best(q, cand)[3]
+    assert tests < 2 * len(q) and (cand < proj.n_faces).sum() > 5 * len(q)
+
+
+def test_face_tests_count_one_per_scored_row_on_one_face():
+    # one face: every scored row tests its seed and nothing else, so the count
+    # is the rows scored, a row that fails its certificate twice
+    q = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 1.0], [1.0, 0.2, -0.5], [0.1, 0.1, 0.1]])
+    cache = FaceCache(MeshProjector(TRIANGLE), q)
+    assert cache.face_tests == 0        # the entry projection is not counted
+    cache.project(np.array([0, 1, 2, 3]), q)        # nothing moved: all certified
+    assert cache.requeries == 0 and cache.face_tests == 4
+    cache.project(np.array([1, 3]), q[[1, 3]] + [0.0, 0.0, 5.0])     # beyond every room
+    assert cache.requeries == 2 and cache.face_tests == 6
+    cache.project(np.array([0]), q[[0]] + [0.0, 0.0, 0.2])     # scored, then queried fresh
+    assert cache.requeries == 3 and cache.face_tests == 8
 
 
 def test_projection_is_idempotent():

@@ -212,6 +212,52 @@ def test_extreme_coordinates_raise_cleanly():
             nearest_all(index)
 
 
+def _both_paths(x, k):
+    """k_nearest_all with the tree forced and with every pair forced: each
+    result is the table or the ValueError raised."""
+    out = []
+    for all_pairs in (1, len(x) + 1):
+        with mock.patch.object(neighbors, "_ALL_PAIRS", all_pairs):
+            index = build_index(x)
+            assert (index._tree is None) == (all_pairs > len(x))
+            try:
+                out.append(k_nearest_all(index, k))
+            except ValueError as exc:
+                out.append(exc)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [10, neighbors._ALL_PAIRS, neighbors._ALL_PAIRS + 1, 300])
+def test_overflowing_pairs_are_absent_on_both_paths(n):
+    # two coincident points at 1e200 among uniform ones: the tree marks every
+    # pair between the groups as unreachable, the all-pairs scores read inf,
+    # and each point's nearest neighbor is finite all the same
+    x = np.random.default_rng(n).random((n, 3))
+    x[-2:] = 1e200
+    tree, every = _both_paths(x, 1)
+    np.testing.assert_array_equal(tree, every)
+    np.testing.assert_array_equal(tree[-2:, 0], [n - 1, n - 2])
+    np.testing.assert_array_equal(tree[:-2], brute_k_nearest(x[:-2], EUCLIDEAN, 1))
+    # a single far point's nearest neighbor overflows: both paths raise
+    x[-1] = 0.5
+    for result in _both_paths(x, 1):
+        assert isinstance(result, ValueError) and "coordinates are too extreme" in str(result)
+
+
+def test_neighbor_list_rebuilds_when_overflowing_pairs_close_in():
+    # clusters of 9 points 1e200 apart: every pair between clusters overflows,
+    # so a tree row holds only its own cluster; a cluster that moves onto
+    # another must still force a rebuild
+    rng = np.random.default_rng(0)
+    x = (np.arange(15)[:, None, None] * [1e200, 0.0, 0.0] + rng.random((15, 9, 3))).reshape(-1, 3)
+    nl = NeighborList("euclidean", 1)
+    np.testing.assert_array_equal(nl.update(x), k_nearest_all(build_index(x), 1))
+    x[:9, 0] += 1e200
+    np.testing.assert_array_equal(nl.update(x, 1e200), k_nearest_all(build_index(x), 1))
+    assert nl.rebuilds == 2
+
+
 def test_metric_name_roundtrip():
     assert build_index(np.zeros((2, 2)), "periodic").metric is PERIODIC_UNIT
     with pytest.raises(ValueError):

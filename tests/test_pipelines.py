@@ -284,8 +284,12 @@ def test_face_cache_requeries_few_rows(monkeypatch):
     assert len(projected) == rep.iterations   # one projection per step, of the moved rows
     assert 0 < rep.face_requeries <= 0.05 * sum(projected)
     assert rep.to_dict()["face_requeries"] == rep.face_requeries
+    # each projected row gets at least its seed's exact test, and few get more
+    assert sum(projected) <= rep.face_tests < 2 * sum(projected)
+    assert rep.to_dict()["face_tests"] == rep.face_tests
     _, blue = bluenoise_2d(40, max_iter=5)
     assert blue.face_requeries == 0 and blue.to_dict()["face_requeries"] == 0
+    assert blue.face_tests == 0 and blue.to_dict()["face_tests"] == 0
 
 
 def test_redistribute_requires_normalized_mesh():
