@@ -43,6 +43,10 @@ def distance_score(cloud, metric=EUCLIDEAN) -> float:
     return float(metric.distance(x, x.take(nn, axis=0)).mean())
 
 
+_CHUNK = 8192      # N0: points per chunk; a cloud of at most N0 points is one exact product
+_RESTART = 32      # powers of w between fresh np.exp rows in a multi-chunk cloud
+
+
 def periodogram(cloud, fmax: int = 128):
     """Periodogram |sum_j exp(-2 pi i f.x_j)|^2 / N on the integer lattice.
 
@@ -50,6 +54,16 @@ def periodogram(cloud, fmax: int = 128):
     (fx, fy) = (i - fmax, j - fmax).  Coordinates are interpreted on the unit
     torus, so wrapping points changes nothing.  The DC bin (center) always
     equals N and is excluded from radial profiles downstream.
+
+    The amplitude sum_j ex[:, j] ey[:, j]^T runs over chunks of at most
+    _CHUNK = 8192 (N0) points, each chunk's exponentials built in place in
+    two reused (2*fmax+1) x N0 complex buffers, so memory is about
+    2 (2*fmax+1) N0 16 bytes plus two grids, whatever N is.  A cloud of at
+    most N0 points is one chunk whose rows are np.exp of every frequency:
+    the exact single product.  Larger clouds build row f of each chunk as
+    w^f, w = exp(-2 pi i x), by repeated products restarted from np.exp
+    every _RESTART = 32 powers, and row -f as its conjugate; their grid lies
+    within 1e-14 N of the single product's (tested up to fmax = 256).
     """
     x = np.asarray(cloud, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:
@@ -58,11 +72,40 @@ def periodogram(cloud, fmax: int = 128):
         raise ValueError("cloud contains non-finite coordinates")
     if not (isinstance(fmax, (int, np.integer)) and fmax >= 1):
         raise ValueError(f"fmax must be an integer >= 1, got {fmax!r}")
+    n, rows = x.shape[0], 2 * fmax + 1
     freqs = np.arange(-fmax, fmax + 1)
-    ex = np.exp(-2j * np.pi * np.outer(freqs, x[:, 0]))
-    ey = np.exp(-2j * np.pi * np.outer(freqs, x[:, 1]))
-    amp = ex @ ey.T
-    return (amp.real * amp.real + amp.imag * amp.imag) / x.shape[0]
+    build = _exp_rows if n <= _CHUNK else _power_rows
+    # flat buffers, so every chunk's (rows, m) view is C-contiguous, the last one too
+    bufs = [np.empty(rows * min(n, _CHUNK), dtype=complex) for _ in range(2)]
+    for lo in range(0, n, _CHUNK):
+        chunk = x[lo:lo + _CHUNK]
+        ex, ey = (buf[:rows * len(chunk)].reshape(rows, len(chunk)) for buf in bufs)
+        build(ex, freqs, chunk[:, 0])
+        build(ey, freqs, chunk[:, 1])
+        if lo:
+            amp += ex @ ey.T
+        else:
+            amp = ex @ ey.T
+    return (amp.real * amp.real + amp.imag * amp.imag) / n
+
+
+def _exp_rows(z, freqs, col):
+    """z = exp(-2j pi outer(freqs, col)), with the same ufuncs on the same values."""
+    np.multiply(freqs[:, None], col[None, :], out=z)
+    np.multiply(-2j * np.pi, z, out=z)
+    np.exp(z, out=z)
+
+
+def _power_rows(z, freqs, col):
+    """The rows of _exp_rows for freqs = -F..F, as powers of w = exp(-2 pi i col)."""
+    fmax = len(freqs) // 2
+    z[fmax] = 1.0
+    pos = z[fmax + 1:]
+    _exp_rows(pos[::_RESTART], freqs[fmax + 1::_RESTART], col)
+    for f in range(2, fmax + 1):
+        if (f - 1) % _RESTART:
+            np.multiply(pos[f - 2], pos[0], out=pos[f - 1])
+    np.conjugate(pos, out=z[fmax - 1::-1])
 
 
 @dataclass(frozen=True)

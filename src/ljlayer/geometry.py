@@ -366,11 +366,21 @@ class MeshProjector:
         return cp, squared_norm(p - cp)
 
     def _best_of(self, q, groups):
-        pts, faces, dist, tests = self._best(q, groups[0][1])
-        for rows, cand in groups[1:]:
-            pts[rows], faces[rows], dist[rows], more = self._best(q.take(rows, axis=0), cand)
+        """_best of each row over the candidates of its complete (last) group only."""
+        last = np.zeros(len(q), dtype=np.intp)
+        for g, (rows, _) in enumerate(groups[1:], 1):
+            last[rows] = g
+        out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
+        tests = 0
+        for g, (rows, cand) in enumerate(groups):
+            done = last.take(rows) == g
+            if not done.all():
+                rows, cand = rows[done], cand[done]
+            *best, more = self._best(q.take(rows, axis=0), cand)
+            for o, b in zip(out, best):
+                o[rows] = b
             tests += more
-        return pts, faces, dist, tests
+        return (*out, tests)
 
 
 class FaceCache:

@@ -150,10 +150,11 @@ class RunReport:
     every step.  face_requeries counts the rows redistribute_on_mesh's face
     cache sent to a fresh projection after the entry projection, and
     face_tests the exact triangle tests that cache ran after it, re-queried
-    rows included; both are 0 for the other pipelines.  knn_rescans counts
-    the rows of the knn_rebuilds that their first tree query could not
-    certify, which a wider query answered instead; clipped clouds, whose
-    edges pile points up, have many.  A cloud
+    rows included; gated_out the points redistribute_on_mesh's normal gate
+    held back, summed over steps.  All three are 0 for the other pipelines.
+    knn_rescans counts the rows of the knn_rebuilds that their first tree
+    query could not certify, which a wider query answered instead; clipped
+    clouds, whose edges pile points up, have many.  A cloud
     of at most neighbors._ALL_PAIRS (128) points scores every pair, so its
     table is built once: knn_rebuilds reads 1 (0 untraced) and knn_rescans 0.
     """
@@ -168,6 +169,7 @@ class RunReport:
     face_requeries: int = 0
     knn_rescans: int = 0
     face_tests: int = 0
+    gated_out: int = 0
 
     def __post_init__(self):
         if self.distance_trace is None:
@@ -197,6 +199,7 @@ class RunReport:
             "face_requeries": self.face_requeries,
             "knn_rescans": self.knn_rescans,
             "face_tests": self.face_tests,
+            "gated_out": self.gated_out,
         }
 
 
@@ -354,18 +357,23 @@ def redistribute_on_mesh(
     cache = FaceCache(MeshProjector(mesh), x0)
     cloud, faces, _ = cache.entry
 
+    gated_out = 0
+
     def move(t, cloud, pairs):
+        nonlocal gated_out
         normals = mesh.face_normals.take(faces, axis=0)
         gate = (normals * normals.take(pairs[:, 0], axis=0)).sum(axis=1) > _GATE_COS
         stepped = lj_step(cloud, pairs, dt_exponential(t, schedule), params, EUCLIDEAN, rng)
         new = np.where(gate[:, None], stepped, cloud)
         rows = np.flatnonzero(gate)
+        gated_out += n - rows.size
         if rows.size:
             new[rows], faces[rows], _ = cache.project(rows, new.take(rows, axis=0))
         return new
 
     cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed)
-    return cloud, replace(report, face_requeries=cache.requeries, face_tests=cache.face_tests)
+    return cloud, replace(report, face_requeries=cache.requeries, face_tests=cache.face_tests,
+                          gated_out=gated_out)
 
 
 class UnitSphere:

@@ -1,7 +1,11 @@
 """Spectral statistics, distance/noise scores, and report arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ljlayer.analysis import (
     ANISOTROPY_FLOOR_DB,
@@ -73,6 +77,60 @@ def test_periodogram_permutation_invariance():
     np.testing.assert_allclose(
         periodogram(cloud[perm], fmax=5), periodogram(cloud, fmax=5), atol=1e-9
     )
+
+
+def direct_periodogram(cloud, fmax):
+    """The single product over all points, as periodogram computed it before chunking."""
+    freqs = np.arange(-fmax, fmax + 1)
+    ex = np.exp(-2j * np.pi * np.outer(freqs, cloud[:, 0]))
+    ey = np.exp(-2j * np.pi * np.outer(freqs, cloud[:, 1]))
+    amp = ex @ ey.T
+    return (amp.real * amp.real + amp.imag * amp.imag) / cloud.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), fmax=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+@example(n=8192, fmax=128, seed=0)      # the largest single chunk
+@example(n=1, fmax=1, seed=1)
+def test_single_chunk_periodogram_is_the_direct_product_bitwise(n, fmax, seed):
+    cloud = np.random.default_rng(seed).uniform(-1.5, 2.5, (n, 2))
+    got, want = periodogram(cloud, fmax), direct_periodogram(cloud, fmax)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, fmax", [(8193, 8), (8193, 128), (16387, 8), (16387, 128),
+                                     (8193, 256)])
+def test_chunked_periodogram_stays_near_the_direct_product(n, fmax):
+    # above 8192 points rows are powers of exp(-2 pi i x), restarted from
+    # np.exp every 32 powers, so fmax > 32 runs the restarts
+    cloud = np.random.default_rng(n + fmax).uniform(-1.5, 2.5, (n, 2))
+    got = periodogram(cloud, fmax)
+    assert np.abs(got - direct_periodogram(cloud, fmax)).max() <= 1e-14 * n
+    assert got[fmax, fmax] == pytest.approx(n, rel=1e-12)
+
+
+def test_chunked_lattice_spectrum_peaks_at_multiples():
+    m = 128                                 # 16384 points: two chunks
+    ij = np.mgrid[0:m, 0:m].reshape(2, -1).T / m
+    grid = periodogram(ij, fmax=m)
+    f = np.arange(-m, m + 1)
+    on_lattice = (f[:, None] % m == 0) & (f[None, :] % m == 0)
+    assert np.allclose(grid[on_lattice], m * m, atol=1e-8)
+    assert np.abs(grid[~on_lattice]).max() < 1e-8
+
+
+def test_periodogram_memory_does_not_grow_with_n():
+    # two (2F+1) x 8192 complex buffers whatever N is; the single product
+    # over all 24581 points peaked at 194 MB
+    cloud = np.random.default_rng(3).random((3 * 8192 + 5, 2))
+    tracemalloc.start()
+    try:
+        periodogram(cloud, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 257 * 8192 * 16
 
 
 def test_periodogram_validation():

@@ -504,6 +504,23 @@ def test_face_tests_count_one_per_scored_row_on_one_face():
     assert cache.requeries == 3 and cache.face_tests == 8
 
 
+def test_wide_rows_are_scored_once_against_their_final_candidates():
+    # a deep-inside query outgrows the first table and is re-queried wider;
+    # it is scored only in its last group, the on-surface rows only in the
+    # first, and the result is a full scan's
+    proj = MeshProjector(icosphere(3))
+    rng = np.random.default_rng(8)
+    q = np.vstack([proj.project(rng.uniform(-1, 1, (20, 3)))[0], [[0.01, -0.02, 0.03]]])
+    groups, _ = proj._candidates(q)
+    assert len(groups) > 1 and all(rows.tolist() == [20] for rows, _ in groups[1:])
+    *got, tests = proj._best_of(q, groups)
+    every = np.broadcast_to(np.arange(proj.n_faces), (len(q), proj.n_faces))
+    for g, w in zip(got, unpruned_best(proj, q, every)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    final = proj._best(q[:20], groups[0][1][:20])[3] + proj._best(q[20:], groups[-1][1])[3]
+    assert tests == final
+
+
 def test_projection_is_idempotent():
     # point and distance stabilize; the face id may flip between the faces
     # sharing an edge the landed point sits on, so it is not asserted

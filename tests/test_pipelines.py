@@ -268,6 +268,18 @@ def test_redistribute_antipodal_points_never_move(sphere):
     assert rep.final_max_disp == 0.0
 
 
+def test_gated_out_counts_the_points_the_gate_held_back():
+    # the antipodal poles fail the normal gate on every step: 2 points x 5 steps
+    cloud0 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    out, rep = redistribute_on_mesh(cloud0, normalize_mesh(icosphere(3)), max_iter=5, tol=0.0)
+    np.testing.assert_array_equal(out, cloud0)
+    assert rep.iterations == 5 and rep.gated_out == 10 and rep.to_dict()["gated_out"] == 10
+    _, blue = bluenoise_2d(40, max_iter=5)
+    cloud12 = np.random.default_rng(7).standard_normal((12, 3))
+    _, emb = embed_refine(SurfaceRefiner(noise0=0.0, pull=0.5), cloud12, RefineWindow.disabled(5))
+    assert blue.gated_out == 0 and emb.gated_out == 0 and blue.to_dict()["gated_out"] == 0
+
+
 def test_face_cache_requeries_few_rows(monkeypatch):
     # the mesh benchmark's run: 2000 points from the cube onto icosphere(3)
     projected = []
