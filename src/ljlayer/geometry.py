@@ -2,13 +2,10 @@
 
 Meshes are plain vertex/face arrays with flat (per-face) unit normals.
 Closest-point queries return the globally nearest point on the surface; when
-several faces are exactly equidistant the lowest face index wins.  The batched
-projector prunes faces with a centroid tree, then runs the exact
-per-triangle test on the nearest centroid's face and on the candidates whose
-plane lies no farther than that face; by construction it picks the same
-winner, bit for bit, as a scan over all faces.  `FaceCache` keeps each moving
-point's candidate faces and re-queries only the rows whose answer it can no
-longer certify.
+several faces are exactly equidistant the lowest face index wins.  Both
+`MeshProjector` and `FaceCache` return, bit for bit, what a scan over all faces
+would; README.md ("Mesh projection") explains the pruning that lets them skip
+most faces.
 """
 
 from __future__ import annotations
@@ -254,7 +251,7 @@ def _as_queries(points):
     return q
 
 
-_WIDTH = 12         # candidate faces per query before a row is re-queried wider
+_WIDTH = 12         # faces of the first centroid query, the table FaceCache keeps
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 _TINY = 1e-12       # absolute slack for distances near zero
 
@@ -262,14 +259,11 @@ _TINY = 1e-12       # absolute slack for distances near zero
 class MeshProjector:
     """Reusable batched closest-point queries against one mesh.
 
-    The nearest face centroid lies on its face, so the winner is no farther
-    than that, and only faces whose centroid lies within r = (nearest-centroid
-    distance + the largest centroid-to-vertex reach) of the query can contain
-    it; everything else is skipped.  Of the surviving faces, the one with
-    the nearest centroid is scored exactly first, and then only those whose
-    plane lies within its distance; the winner is chosen by (distance, face
-    index), matching a full scan.  The projector keeps no query state;
-    `FaceCache` reuses a query's candidates for points that move.
+    A query's candidates are the faces whose centroid lies within its pruning
+    radius r = (nearest-centroid distance + reach)(1 + g) + _TINY, where reach
+    is the largest centroid-to-vertex distance and g the tie guard; no other
+    face can win.  The winner is the (distance, face index) minimum of a full
+    scan.  The projector keeps no query state.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -298,13 +292,14 @@ class MeshProjector:
         return self._best_of(q, self._candidates(q)[0])[:3]
 
     def _candidates(self, q):
-        """Every face that can hold each query's closest point; returns (groups, r).
+        """Each query's candidate faces; returns (groups, cand, rho).
 
-        r is each row's radius; groups is a list of (rows, cand), where cand
-        holds each row's faces with a centroid within r, ascending by id and
-        padded with n_faces.  The first group covers every row, _WIDTH wide.
-        Rows that come back full are queried again, twice as wide, in the
-        next group; a row is complete in the last group that holds it.
+        groups is a list of (rows, faces) that holds each row exactly once,
+        with all of its faces whose centroid lies within its pruning radius,
+        ascending by id and padded with n_faces.  cand holds each row's _WIDTH
+        nearest-centroid faces, unmasked and ascending by id, and rho is
+        d_W(1 - g), the W-th centroid distance (inf when cand holds every
+        face): every face outside cand has its centroid at least rho away.
         """
         nf = self.n_faces
         k = min(_WIDTH, nf)
@@ -312,16 +307,18 @@ class MeshProjector:
         d, fid = self._centroid_tree.query(q, k=k)
         d, fid = d.reshape(len(q), k), fid.reshape(len(q), k)
         r = (d[:, 0] + self._reach) * (1.0 + _TIE_GUARD) + _TINY
+        cand = np.sort(fid, axis=1)
+        rho = d[:, -1] * (1.0 - _TIE_GUARD) if k < nf else np.full(len(q), np.inf)
         groups = []
         while True:
             if fid.max() >= nf:     # scipy's unreachable mark: squared distances overflowed
                 raise ValueError("projection query failed; coordinates are too extreme")
             inside = d <= r.take(rows)[:, None]
-            groups.append((rows, np.sort(np.where(inside, fid, nf), axis=1)))
-            full = inside[:, -1] & (k < nf)
-            if not full.any():
-                return groups, r
-            rows = rows[full]
+            wide = inside[:, -1] & (k < nf)
+            groups.append((rows[~wide], np.sort(np.where(inside, fid, nf)[~wide], axis=1)))
+            if not wide.any():
+                return groups, cand, rho
+            rows = rows[wide]
             k = min(2 * k, nf)
             d, fid = self._centroid_tree.query(q.take(rows, axis=0), k=k)
 
@@ -366,16 +363,10 @@ class MeshProjector:
         return cp, squared_norm(p - cp)
 
     def _best_of(self, q, groups):
-        """_best of each row over the candidates of its complete (last) group only."""
-        last = np.zeros(len(q), dtype=np.intp)
-        for g, (rows, _) in enumerate(groups[1:], 1):
-            last[rows] = g
+        """_best of each group's rows against that group's faces, in one result."""
         out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
         tests = 0
-        for g, (rows, cand) in enumerate(groups):
-            done = last.take(rows) == g
-            if not done.all():
-                rows, cand = rows[done], cand[done]
+        for rows, cand in groups:
             *best, more = self._best(q.take(rows, axis=0), cand)
             for o, b in zip(out, best):
                 o[rows] = b
@@ -384,19 +375,17 @@ class MeshProjector:
 
 
 class FaceCache:
-    """Exact projections of moving points from the candidates of their last query.
+    """Exact projections of moving points from the faces of their last query.
 
-    `FaceCache(projector, points)` runs the projector's fresh query on points
-    and keeps, per row, the query point q0, its candidate faces and radius r;
+    `FaceCache(projector, points)` projects points fresh and keeps, per row,
+    the query point q0 and the `cand` and `rho` of `MeshProjector._candidates`;
     `entry` is that projection.  `project(rows, q)` returns what
-    `projector.project(q)` returns, bit for bit.  A face outside a row's
-    candidates has its centroid farther than r from q0, so from q every
-    point of it lies farther than r - reach - |q - q0|: the mesh does not
-    move, only the query does.  A row whose best candidate lies, with the tie
-    guard, below that bound is exact, ties included.  Other rows, and rows
-    whose candidates did not fit _WIDTH columns (kept with r = -inf), are
-    queried fresh and their entries replaced; `requeries` counts them, and
-    `face_tests` the exact triangle tests of every `project` call.
+    `projector.project(q)` returns, bit for bit.  From q, every face outside
+    a row's cand lies farther than room = rho - reach - |q - q0|, so a row
+    whose best face in cand lies, with the tie guard, below room is exact,
+    ties included.  Other rows are queried fresh and their entries replaced;
+    `requeries` counts them, and `face_tests` the exact triangle tests of
+    every `project` call.
     """
 
     def __init__(self, projector: MeshProjector, points):
@@ -406,26 +395,31 @@ class FaceCache:
         self.face_tests = 0
         self._q0 = np.empty_like(q)
         self._cand = np.empty((len(q), min(_WIDTH, projector.n_faces)), dtype=np.intp)
-        self._r = np.empty(len(q))
+        self._rho = np.empty(len(q))
         self.entry = self._fresh(np.arange(len(q)), q)[:3]
 
     def _fresh(self, rows, q):
-        groups, r = self.projector._candidates(q)
-        if len(groups) > 1:
-            r[groups[1][0]] = -np.inf       # these rows did not fit the table
+        groups, cand, rho = self.projector._candidates(q)
         self._q0[rows] = q
-        self._cand[rows] = groups[0][1]
-        self._r[rows] = r
+        self._cand[rows] = cand
+        self._rho[rows] = rho
         return self.projector._best_of(q, groups)
 
     def project(self, rows, points):
-        """Project `points`, the new positions of the cache rows `rows` (an
-        integer array); returns (points, faces, distances)."""
+        """Project `points`, the new positions of the cache rows `rows` (a 1-D
+        integer array of row ids, one per point); returns (points, faces, distances)."""
         q = _as_queries(points)
+        rows = np.asarray(rows)
+        if rows.shape != (len(q),) or rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be a 1-D integer array with one id per point, got "
+                             f"{rows.dtype} rows of shape {rows.shape} for {len(q)} points")
+        if rows.min() < 0 or rows.max() >= len(self._q0):
+            raise ValueError(f"rows must lie in [0, {len(self._q0)}), got ids from "
+                             f"{rows.min()} to {rows.max()}")
         with np.errstate(over="ignore"):    # an overflow leaves no room: a fresh query names it
             moved = np.sqrt(squared_norm(q - self._q0.take(rows, axis=0)))
         # from q, every face outside a row's candidates lies farther than room
-        room = self._r.take(rows) - self.projector._reach - moved
+        room = self._rho.take(rows) - self.projector._reach - moved
         live = np.flatnonzero(room > _TINY)     # no other row can be certified
         *best, tests = self.projector._best(q.take(live, axis=0),
                                             self._cand.take(rows[live], axis=0))

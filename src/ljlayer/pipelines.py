@@ -22,7 +22,7 @@ embedded dynamics alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -184,23 +184,14 @@ class RunReport:
                              f"got {self.stop_reason!r}")
 
     def to_dict(self) -> dict:
+        """Every field by name, the two traces folded into one "trace" entry."""
         trace = None
         if self.distance_trace is not None:
             trace = {"distance_score": [float(v) for v in self.distance_trace]}
             if self.noise_trace is not None:
                 trace["noise_score"] = [float(v) for v in self.noise_trace]
-        return {
-            "iterations": self.iterations,
-            "final_max_disp": self.final_max_disp,
-            "seed": self.seed,
-            "trace": trace,
-            "knn_rebuilds": self.knn_rebuilds,
-            "stop_reason": self.stop_reason,
-            "face_requeries": self.face_requeries,
-            "knn_rescans": self.knn_rescans,
-            "face_tests": self.face_tests,
-            "gated_out": self.gated_out,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
+                   if not f.name.endswith("_trace")}, "trace": trace}
 
 
 def sigma_prime(n: int) -> float:

@@ -1,5 +1,8 @@
 """Meshes, closest-point projection, and file round-trips."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -165,8 +168,10 @@ def test_pruned_projection_equals_full_scan_bitwise():
     q2 = np.vstack([q2, rng.uniform(-3, 3, (20, 3))])
     for mesh, q in ((icosphere(2), q2), (icosphere(3), np.zeros((1, 3)))):
         proj = MeshProjector(mesh)
-        groups, _ = proj._candidates(q)
+        groups, _, _ = proj._candidates(q)
         assert len(groups) > 1                     # the widening path ran
+        every = np.concatenate([rows for rows, _ in groups])
+        np.testing.assert_array_equal(np.sort(every), np.arange(len(q)))   # once each
         pts, fids, dists = proj.project(q)
         tri = mesh.vertices[mesh.faces]
         nf = len(mesh.faces)
@@ -350,12 +355,15 @@ SLAB = _slab()
 @example(mesh="sphere", kind="center", n=5, scales=[1e-3, 0.5], seed=0)
 @example(mesh="slab", kind="center", n=6, scales=[0.0, 1e-6], seed=0)
 @example(mesh="tent", kind="ridge", n=8, scales=[0.02, 0.1], seed=1)
+@example(mesh="sphere", kind="surface", n=40, scales=[0.1], seed=11)
 def test_face_cache_matches_a_fresh_projection_after_drifts(mesh, kind, n, scales, seed):
     # "around" reaches the vertex and edge regions of each triangle; "center"
     # starts deep inside the sphere or under the slab's small faces, where
     # rows outgrow the first table; "ridge" keeps x = 0, so the tent's two
     # roof faces tie exactly; drifts near the size of a face leave the
-    # certified region of some rows and not of others
+    # certified region of some rows and not of others.  In the last example
+    # one certified row's winner has its centroid beyond the pruning radius
+    # of where the row started, but within its 12-face table
     m = {"sphere": SPHERE, "tent": TENT, "triangle": TRIANGLE, "slab": SLAB}[mesh]
     proj = MeshProjector(m)
     rng = np.random.default_rng(seed)
@@ -449,11 +457,12 @@ def unpruned_best(proj, q, cand):
 def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n, seed):
     # "surface" moves projected points by scale in a random direction and
     # "inside" starts near the bounding box's center, where rows outgrow the
-    # first table; "far" lies 1e3 to 1e6 out.  cached scores the moved points
-    # against the candidates of where they started, as FaceCache does, so the
-    # seed need not be near them; ridge puts x = 0, where the tent's roof
-    # faces tie exactly, and so do the lean roof's.  On the fan, a bound
-    # without the plane slack _miss prunes faces that win (the first
+    # first table; "far" lies 1e3 to 1e6 out.  Each row is scored against its
+    # masked group and against its unmasked first table.  cached scores the
+    # moved points against the candidates of where they started, as FaceCache
+    # does, so the seed need not be near them; ridge puts x = 0, where the
+    # tent's roof faces tie exactly, and so do the lean roof's.  On the fan,
+    # a bound without the plane slack _miss prunes faces that win (the first
     # example); on the lean roof, one without the tie guards does
     m = MESHES[mesh]
     proj = MeshProjector(m)
@@ -470,7 +479,8 @@ def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n
         q0 = q = direction * 10.0 ** rng.uniform(3, 6, (n, 1))
     if ridge:
         q[:, 0] = 0.0
-    for rows, cand in proj._candidates(q0 if cached else q)[0]:
+    groups, table, _ = proj._candidates(q0 if cached else q)
+    for rows, cand in groups + [(np.arange(n), table)]:
         got = proj._best(q.take(rows, axis=0), cand)
         for g, w in zip(got, unpruned_best(proj, q.take(rows, axis=0), cand)):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -479,40 +489,81 @@ def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n
 
 def test_plane_bound_prunes_most_candidates():
     # points on icosphere(3) that moved by 1e-3 keep their last query's table,
-    # as in FaceCache, and need fewer than 2 exact tests each of about 6
+    # as in FaceCache, and need fewer than 2 exact tests each of its 12 faces
     proj = MeshProjector(icosphere(3))
     rng = np.random.default_rng(12)
     q0 = proj.project(rng.uniform(-1, 1, (2000, 3)))[0]
     step = rng.standard_normal(q0.shape)
     q = q0 + 1e-3 * step / np.linalg.norm(step, axis=1)[:, None]
-    cand = proj._candidates(q0)[0][0][1]
+    _, cand, _ = proj._candidates(q0)
     tests = proj._best(q, cand)[3]
-    assert tests < 2 * len(q) and (cand < proj.n_faces).sum() > 5 * len(q)
+    assert tests < 2 * len(q) and cand.shape == (len(q), 12) and (cand < proj.n_faces).all()
 
 
 def test_face_tests_count_one_per_scored_row_on_one_face():
     # one face: every scored row tests its seed and nothing else, so the count
-    # is the rows scored, a row that fails its certificate twice
+    # is the rows scored; the table holds every face, so rho is infinite and
+    # no move, however far, re-queries a row
     q = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 1.0], [1.0, 0.2, -0.5], [0.1, 0.1, 0.1]])
     cache = FaceCache(MeshProjector(TRIANGLE), q)
     assert cache.face_tests == 0        # the entry projection is not counted
     cache.project(np.array([0, 1, 2, 3]), q)        # nothing moved: all certified
     assert cache.requeries == 0 and cache.face_tests == 4
-    cache.project(np.array([1, 3]), q[[1, 3]] + [0.0, 0.0, 5.0])     # beyond every room
+    cache.project(np.array([1, 3]), q[[1, 3]] + [0.0, 0.0, 5.0])
+    assert cache.requeries == 0 and cache.face_tests == 6
+    cache.project(np.array([0]), q[[0]] + [0.0, 0.0, 0.2])
+    assert cache.requeries == 0 and cache.face_tests == 7
+
+
+def test_face_tests_count_one_per_scored_row_at_face_centroids():
+    # on icosphere(1) (80 faces) a point at a face's centroid, or 0.2 inside
+    # it along the normal, lies nearer that face's plane than any other, so
+    # every scored row tests its seed and nothing else; a row that fails its
+    # certificate is tested twice.  rho - reach is about 0.3 at a centroid.
+    mesh = icosphere(1)
+    proj = MeshProjector(mesh)
+    centroids = mesh.vertices[mesh.faces].mean(axis=1)
+    q = centroids[:4]
+    cache = FaceCache(proj, q)
+    assert cache.face_tests == 0
+    cache.project(np.array([0, 1, 2, 3]), q)        # nothing moved: all certified
+    assert cache.requeries == 0 and cache.face_tests == 4
+    far = [np.argmax(squared_norm(centroids - p)) for p in q[[1, 3]]]
+    cache.project(np.array([1, 3]), centroids[far])     # moved 1.87 or more: beyond every room
     assert cache.requeries == 2 and cache.face_tests == 6
-    cache.project(np.array([0]), q[[0]] + [0.0, 0.0, 0.2])     # scored, then queried fresh
+    inside = q[[0]] - 0.2 * mesh.face_normals[[0]]      # room 0.09 < 0.2: scored, then fresh
+    cache.project(np.array([0]), inside)
     assert cache.requeries == 3 and cache.face_tests == 8
+
+
+def test_rho_bounds_every_centroid_outside_the_table():
+    # the 48 signed permutations of a triangle have centroids at exactly one
+    # distance from the origin, while the tree rounds each distance its own
+    # way: the 12th can come out above the exact value, so rho needs its
+    # guard to stay below every centroid left out of the table (exact sums)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        base = rng.uniform(0.1, 1.0, (3, 3))
+        tri = np.array([base[:, p] * s for p in itertools.permutations(range(3))
+                        for s in itertools.product((1.0, -1.0), repeat=3)])
+        mesh = TriangleMesh(tri.reshape(-1, 3), np.arange(3 * len(tri)).reshape(-1, 3))
+        _, cand, rho = MeshProjector(mesh)._candidates(np.zeros((1, 3)))
+        outside = np.setdiff1d(np.arange(len(tri)), cand[0])
+        assert len(outside) == 36
+        for c in tri.mean(axis=1)[outside]:
+            assert Fraction(rho[0]) ** 2 <= sum(Fraction(x) ** 2 for x in c)
 
 
 def test_wide_rows_are_scored_once_against_their_final_candidates():
     # a deep-inside query outgrows the first table and is re-queried wider;
-    # it is scored only in its last group, the on-surface rows only in the
-    # first, and the result is a full scan's
+    # it sits only in its last group, the on-surface rows only in the first,
+    # each is scored once, and the result is a full scan's
     proj = MeshProjector(icosphere(3))
     rng = np.random.default_rng(8)
     q = np.vstack([proj.project(rng.uniform(-1, 1, (20, 3)))[0], [[0.01, -0.02, 0.03]]])
-    groups, _ = proj._candidates(q)
-    assert len(groups) > 1 and all(rows.tolist() == [20] for rows, _ in groups[1:])
+    groups, _, _ = proj._candidates(q)
+    assert len(groups) > 1 and groups[0][0].tolist() == list(range(20))
+    assert groups[-1][0].tolist() == [20] and all(rows.size == 0 for rows, _ in groups[1:-1])
     *got, tests = proj._best_of(q, groups)
     every = np.broadcast_to(np.arange(proj.n_faces), (len(q), proj.n_faces))
     for g, w in zip(got, unpruned_best(proj, q, every)):
@@ -564,6 +615,23 @@ def test_projector_rejects_extreme_queries():
     with pytest.raises(ValueError, match="coordinates are too extreme"):
         cache.project(np.array([1]), np.array([[0.0, -1e160, 0.0]]))
     assert proj.project([[1e150, 0.0, 0.0]])[2][0] == 1e150 - 1.0
+
+
+def test_face_cache_rejects_bad_rows():
+    # rows must be a 1-D integer array of cache row ids, one per point
+    cache = FaceCache(MeshProjector(icosphere(1)), np.random.default_rng(2).uniform(-1, 1, (5, 3)))
+    q = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="one id per point, got int.* rows of shape"):
+        cache.project(np.array([0, 1]), q)
+    with pytest.raises(ValueError, match=r"rows must lie in \[0, 5\), got ids from 7 to 7"):
+        cache.project(np.array([7]), q[:1])
+    with pytest.raises(ValueError, match="integer array with one id per point, got float64"):
+        cache.project(np.array([0.0, 1.0, 2.0]), q)
+    with pytest.raises(ValueError, match=r"rows must lie in \[0, 5\)"):
+        cache.project(np.array([-1, 0, 1]), q)
+    with pytest.raises(ValueError, match="one id per point"):
+        cache.project(np.array([[0, 1, 2]]), q)
+    np.testing.assert_array_equal(cache.project([4, 0, 2], q)[0], cache.projector.project(q)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

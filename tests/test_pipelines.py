@@ -118,6 +118,10 @@ def test_run_report_trace_length_checked():
     assert "noise_score" not in d["trace"]
     assert d["knn_rebuilds"] == 0 and d["stop_reason"] == "max_iter"
     assert d["knn_rescans"] == 0
+    # the --report key set: every field, the two traces folded into "trace"
+    assert sorted(d) == ["face_requeries", "face_tests", "final_max_disp", "gated_out",
+                         "iterations", "knn_rebuilds", "knn_rescans", "seed", "stop_reason",
+                         "trace"]
     d = RunReport(2, 0.1, 7, np.array([0.5, 0.6]), knn_rebuilds=2, stop_reason="tol").to_dict()
     assert d["knn_rebuilds"] == 2 and d["stop_reason"] == "tol"
     with pytest.raises(ValueError):
