@@ -10,10 +10,10 @@ most faces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .metrics import squared_norm
 
@@ -74,9 +74,13 @@ class TriangleMesh:
 
 def _numbers(convert, tokens, path, ln):
     try:
-        return [convert(t) for t in tokens]
+        values = [convert(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"{path}:{ln}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
+        raise ValueError(f"{path}:{ln}: non-finite value {bad!r}")
+    return values
 
 
 def load_obj(path) -> TriangleMesh:
@@ -267,6 +271,7 @@ class MeshProjector:
     """
 
     def __init__(self, mesh: TriangleMesh):
+        from scipy.spatial import cKDTree   # here, so commands without a mesh never load it
         self.mesh = mesh
         tri = mesh.vertices[mesh.faces]
         self.n_faces = len(tri)

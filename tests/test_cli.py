@@ -1,10 +1,13 @@
 """Command-line interface: summaries, exit codes, artifacts."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ljlayer import geometry
 from ljlayer.analysis import distance_score
 from ljlayer.cli import main
 from ljlayer.core import LjParams, Schedule
@@ -243,6 +246,27 @@ def test_malformed_number_exits_2_and_names_the_line(tmp_path, capsys):
     assert f"{cloud}:2: could not convert string to float: 'zz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_exits_2_and_names_the_line(tmp_path, capsys, sphere_obj, value):
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text(f"0 0 0\n1 {value} 0\n")
+    assert main(["score", "--cloud", str(cloud)]) == 2
+    assert f"{cloud}:2: non-finite value '{value}'" in capsys.readouterr().err
+    mesh = tmp_path / "m.obj"
+    mesh.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 {value}\nf 1 2 3\n")
+    cloud.write_text("0 0 0\n1 1 0\n")
+    assert main(["score", "--cloud", str(cloud), "--mesh", str(mesh)]) == 2
+    assert f"{mesh}:3: non-finite value '{value}'" in capsys.readouterr().err
+
+
+def test_invalid_thread_cap_exits_2(tmp_path, capsys, monkeypatch):
+    cloud = tmp_path / "c.xyz"
+    geometry.write_xyz(np.random.default_rng(0).random((200, 2)), cloud)
+    monkeypatch.setenv("LJL_THREADS", "zero")
+    assert main(["score", "--cloud", str(cloud)]) == 2
+    assert "LJL_THREADS must be a positive integer, got 'zero'" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(capsys, tmp_path):
     assert main(["score", "--cloud", str(tmp_path / "absent.xyz")]) == 1
 
@@ -273,3 +297,53 @@ def test_summary_is_sorted_json(capsys):
                      "--tprime", "9")
     keys = list(json.loads(out).keys())
     assert keys == sorted(keys)
+
+
+# ----------------------------------------------------------------- startup
+
+_SPATIAL_AFTER = """
+import json, sys
+seen = []
+def step(label, run):
+    run()
+    seen.append([label, "scipy.spatial" in sys.modules])
+"""
+
+
+def _spatial_loaded_after(steps, cwd):
+    """Run steps in a fresh interpreter; [label, scipy.spatial loaded] after each."""
+    out = subprocess.run([sys.executable, "-c", _SPATIAL_AFTER + steps + "print(json.dumps(seen))"],
+                         cwd=cwd, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_commands_that_build_no_tree_never_load_scipy_spatial(tmp_path):
+    # this process already holds scipy, so each check runs in a fresh one
+    geometry.write_xyz(np.random.default_rng(1).random((2048, 2)), tmp_path / "c.xyz")
+    steps = """
+step("import ljlayer", lambda: __import__("ljlayer"))
+step("import ljlayer.cli", lambda: __import__("ljlayer.cli"))
+from ljlayer.cli import main
+step("--help", lambda: main(["--help"]))
+step("unknown command", lambda: main(["polish"]))
+step("embed", lambda: main(["embed", "--seed", "3"]))
+step("sweep", lambda: main(["sweep", "--axis", "alpha", "--values", "2.5", "--seeds", "1",
+                            "--out", "s.csv"]))
+step("analyze", lambda: main(["analyze", "--cloud", "c.xyz"]))
+"""
+    seen = _spatial_loaded_after(steps, tmp_path)
+    assert len(seen) == 7
+    assert [label for label, loaded in seen if loaded] == []
+
+
+@pytest.mark.parametrize("steps", [
+    "from ljlayer.neighbors import build_index\n"
+    "import numpy as np\n"
+    "step('128 points', lambda: build_index(np.random.default_rng(0).random((128, 2))))\n"
+    "step('129 points', lambda: build_index(np.random.default_rng(0).random((129, 2))))\n",
+    "from ljlayer.geometry import MeshProjector, icosphere\n"
+    "step('icosphere', lambda: icosphere(0))\n"
+    "step('projector', lambda: MeshProjector(icosphere(0)))\n",
+], ids=["tree", "projector"])
+def test_the_first_tree_loads_scipy_spatial(tmp_path, steps):
+    assert [loaded for _, loaded in _spatial_loaded_after(steps, tmp_path)] == [False, True]

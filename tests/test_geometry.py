@@ -732,6 +732,15 @@ def test_obj_names_the_line_of_a_bad_number(tmp_path):
     assert str(err.value).startswith(f"{p}:5: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_obj_names_the_line_of_a_non_finite_coordinate(tmp_path, value):
+    p = tmp_path / "bad.obj"
+    p.write_text(f"v 0 0 0\n# note\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ValueError) as err:
+        load_obj(p)
+    assert str(err.value) == f"{p}:3: non-finite value '{value}'"
+
+
 def test_xyz_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     for dim in (2, 3):
@@ -764,3 +773,12 @@ def test_xyz_names_the_line_of_a_bad_number(tmp_path):
     with pytest.raises(ValueError, match="could not convert string to float: 'zz'") as err:
         read_xyz(p)
     assert str(err.value).startswith(f"{p}:3: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_xyz_names_the_line_of_a_non_finite_value(tmp_path, value):
+    p = tmp_path / "c.xyz"
+    p.write_text(f"0 0\n{value} 1\n")
+    with pytest.raises(ValueError) as err:
+        read_xyz(p)
+    assert str(err.value) == f"{p}:2: non-finite value '{value}'"

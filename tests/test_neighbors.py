@@ -480,3 +480,43 @@ def test_neighbor_list_takes_an_integral_float_k():
     for bad in (1.5, 0, -1, np.nan):
         with pytest.raises(ValueError, match="k must be an integer >= 1"):
             NeighborList(EUCLIDEAN, bad)
+
+
+def test_tree_queries_take_two_workers_from_the_size_rule_on(monkeypatch):
+    monkeypatch.delenv("LJL_THREADS", raising=False)
+    assert neighbors._workers(neighbors._THREADED - 1) == 1
+    assert neighbors._workers(neighbors._THREADED) == 2
+    # LJL_THREADS caps the count and never raises it
+    for cap, workers in (("1", 1), ("2", 2), ("4", 2)):
+        monkeypatch.setenv("LJL_THREADS", cap)
+        assert neighbors._workers(neighbors._THREADED) == workers
+        assert neighbors._workers(neighbors._THREADED - 1) == 1
+    for bad in ("0", "-1", "1.5", "two", " "):
+        monkeypatch.setenv("LJL_THREADS", bad)
+        with pytest.raises(ValueError, match=f"LJL_THREADS must be a positive integer, got '{bad}'"):
+            neighbors._workers(100)
+
+
+class _QuerySpy:
+    """A tree that records the worker count of every query."""
+
+    def __init__(self, tree):
+        self.tree, self.workers = tree, []
+
+    def query(self, x, k, workers):
+        self.workers.append(workers)
+        return self.tree.query(x, k=k, workers=workers)
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, PERIODIC_UNIT], ids=["euclidean", "periodic"])
+def test_threaded_tree_query_equals_the_one_worker_query(monkeypatch, metric):
+    x = np.random.default_rng(9000).random((9000, 2))
+    index = build_index(x, metric)
+    index._tree = spy = _QuerySpy(index._tree)
+    monkeypatch.setenv("LJL_THREADS", "1")
+    single = neighbors._k_nearest(index, 3)
+    monkeypatch.delenv("LJL_THREADS")
+    threaded = neighbors._k_nearest(index, 3)
+    assert spy.workers == [1, 2]
+    for a, b in zip(single, threaded):
+        np.testing.assert_array_equal(a, b)
