@@ -2,12 +2,18 @@
 
 import os as _os
 
-# LJL_THREADS caps BLAS/OpenMP parallelism; must be set before numpy loads.
-_threads = _os.environ.get("LJL_THREADS")
-if _threads:
+# LJL_THREADS caps BLAS/OpenMP parallelism, which must be set before numpy
+# loads, and k-d tree query threads.  It is read once, here; a value that is
+# not a positive integer is kept as THREADS_ERROR and forwarded nowhere.
+_threads = _os.environ.get("LJL_THREADS", "")
+THREADS_CAP = THREADS_ERROR = None
+if _threads.strip().isdecimal() and int(_threads) >= 1:
+    THREADS_CAP = int(_threads)
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(THREADS_CAP))
+elif _threads:
+    THREADS_ERROR = f"LJL_THREADS must be a positive integer, got {_threads!r}"
 del _os, _threads
 
 from .analysis import distance_score, periodogram, radial_stats

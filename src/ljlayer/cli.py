@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, geometry, pipelines
+from . import THREADS_ERROR, analysis, geometry, pipelines
 from .core import LjParams, Schedule
 from .metrics import get_metric
 
@@ -305,6 +305,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if THREADS_ERROR:
+            raise ValueError(THREADS_ERROR)
         return args.func(args)
     except OSError as exc:
         print(f"ljlayer: i/o error: {exc}", file=sys.stderr)

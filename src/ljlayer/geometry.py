@@ -77,9 +77,10 @@ def _numbers(convert, tokens, path, ln):
         values = [convert(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"{path}:{ln}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
-        raise ValueError(f"{path}:{ln}: non-finite value {bad!r}")
+    if convert is float:
+        bad = [t for t, v in zip(tokens, values) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{path}:{ln}: non-finite value {bad[0]!r}")
     return values
 
 
@@ -99,8 +100,9 @@ def load_obj(path) -> TriangleMesh:
             elif parts[0] == "f":
                 idx = []
                 for i in _numbers(int, [tok.split("/")[0] for tok in parts[1:]], path, ln):
-                    if i == 0:
-                        raise ValueError(f"{path}:{ln}: face index 0 is invalid")
+                    if not 1 <= abs(i) <= len(verts):
+                        raise ValueError(f"{path}:{ln}: face index {i} names none of the "
+                                         f"{len(verts)} vertices before it")
                     idx.append(i - 1 if i > 0 else len(verts) + i)
                 if len(idx) < 3:
                     raise ValueError(f"{path}:{ln}: face needs at least 3 vertices")

@@ -19,10 +19,9 @@ no query state.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from . import THREADS_CAP, THREADS_ERROR
 from .metrics import EUCLIDEAN, Metric, get_metric
 
 __all__ = [
@@ -37,7 +36,7 @@ _ALL_PAIRS = 128    # clouds up to this size score every pair: below it a tree c
 _EXTRA = 8          # candidates a wide query fetches beyond k+1
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 _FAR = np.sqrt(np.finfo(float).max)     # the shortest distance whose square overflows
-_THREADED = 8192    # clouds from this size query their tree on two threads
+_THREADED = 8192    # tree queries of this many rows or more run on two threads
 
 
 class SpatialIndex:
@@ -75,12 +74,11 @@ def build_index(cloud, metric="euclidean") -> SpatialIndex:
     return SpatialIndex(cloud, get_metric(metric))
 
 
-def _workers(n: int) -> int:
-    """Threads for a tree query over n points: 2 from _THREADED on, at most LJL_THREADS."""
-    cap = os.environ.get("LJL_THREADS")
-    if cap and not (cap.strip().isdigit() and int(cap) >= 1):
-        raise ValueError(f"LJL_THREADS must be a positive integer, got {cap!r}")
-    return min(2 if n >= _THREADED else 1, int(cap) if cap else 2)
+def _workers(rows: int) -> int:
+    """Threads for a tree query of that many rows: 2 from _THREADED on, at most LJL_THREADS."""
+    if THREADS_ERROR:
+        raise ValueError(THREADS_ERROR)
+    return min(2 if rows >= _THREADED else 1, THREADS_CAP or 2)
 
 
 def _distance2(metric: Metric, x, rows, cand):
@@ -152,7 +150,7 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
         cand, rho = np.arange(n)[None, :], np.full(len(rows), np.inf)
     else:
         m = min(n, k + 1 + extra)
-        d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m, workers=_workers(n))
+        d_tree, cand = index._tree.query(x.take(rows, axis=0), k=m, workers=_workers(len(rows)))
         # scipy marks a neighbor at an overflowing squared distance with index n,
         # so such a row's real candidates are every point nearer than _FAR; its
         # own id fills the marked slots, and _select masks it

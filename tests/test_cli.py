@@ -1,6 +1,7 @@
 """Command-line interface: summaries, exit codes, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -244,27 +245,29 @@ def test_malformed_number_exits_2_and_names_the_line(tmp_path, capsys):
     cloud.write_text("0 0\n1 zz\n")
     assert main(["score", "--cloud", str(cloud)]) == 2
     assert f"{cloud}:2: could not convert string to float: 'zz'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_value_exits_2_and_names_the_line(tmp_path, capsys, sphere_obj, value):
-    cloud = tmp_path / "c.xyz"
-    cloud.write_text(f"0 0 0\n1 {value} 0\n")
-    assert main(["score", "--cloud", str(cloud)]) == 2
-    assert f"{cloud}:2: non-finite value '{value}'" in capsys.readouterr().err
     mesh = tmp_path / "m.obj"
-    mesh.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 {value}\nf 1 2 3\n")
-    cloud.write_text("0 0 0\n1 1 0\n")
-    assert main(["score", "--cloud", str(cloud), "--mesh", str(mesh)]) == 2
-    assert f"{mesh}:3: non-finite value '{value}'" in capsys.readouterr().err
+    for value in ("nan", "inf", "-inf"):
+        cloud.write_text(f"0 0 0\n1 {value} 0\n")
+        assert main(["score", "--cloud", str(cloud)]) == 2
+        assert f"{cloud}:2: non-finite value '{value}'" in capsys.readouterr().err
+        mesh.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 {value}\nf 1 2 3\n")
+        cloud.write_text("0 0 0\n1 1 0\n")
+        assert main(["score", "--cloud", str(cloud), "--mesh", str(mesh)]) == 2
+        assert f"{mesh}:3: non-finite value '{value}'" in capsys.readouterr().err
 
 
-def test_invalid_thread_cap_exits_2(tmp_path, capsys, monkeypatch):
-    cloud = tmp_path / "c.xyz"
-    geometry.write_xyz(np.random.default_rng(0).random((200, 2)), cloud)
-    monkeypatch.setenv("LJL_THREADS", "zero")
-    assert main(["score", "--cloud", str(cloud)]) == 2
-    assert "LJL_THREADS must be a positive integer, got 'zero'" in capsys.readouterr().err
+def test_invalid_thread_cap_exits_2_from_every_command(tmp_path):
+    # LJL_THREADS is read when ljlayer is imported, so each run is a fresh process
+    geometry.write_xyz(np.random.default_rng(0).random((200, 2)), tmp_path / "c.xyz")
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    for argv in (["analyze", "--cloud", "c.xyz"], ["bluenoise", "--n", "100"],
+                 ["score", "--cloud", "c.xyz"]):
+        run = subprocess.run(
+            [sys.executable, "-c", "import os, sys; from ljlayer.cli import main; "
+             "print(os.environ.get('OMP_NUM_THREADS')); sys.exit(main(sys.argv[1:]))", *argv],
+            cwd=tmp_path, env={**env, "LJL_THREADS": "zero"}, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, "None\n"), argv
+        assert "LJL_THREADS must be a positive integer, got 'zero'" in run.stderr
 
 
 def test_missing_file_exits_1(capsys, tmp_path):

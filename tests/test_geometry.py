@@ -730,15 +730,20 @@ def test_obj_names_the_line_of_a_bad_number(tmp_path):
     with pytest.raises(ValueError, match="invalid literal for int") as err:
         load_obj(p)
     assert str(err.value).startswith(f"{p}:5: ")
+    for value in ("nan", "inf", "-inf"):
+        p.write_text(f"v 0 0 0\n# note\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(ValueError) as err:
+            load_obj(p)
+        assert str(err.value) == f"{p}:3: non-finite value '{value}'"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_obj_names_the_line_of_a_non_finite_coordinate(tmp_path, value):
+@pytest.mark.parametrize("index", ["4", "-4", "0", "9" * 400], ids=["ahead", "behind", "zero", "huge"])
+def test_obj_names_the_line_of_a_face_index_out_of_range(tmp_path, index):
     p = tmp_path / "bad.obj"
-    p.write_text(f"v 0 0 0\n# note\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+    p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {index}\nv 1 1 0\n")
     with pytest.raises(ValueError) as err:
         load_obj(p)
-    assert str(err.value) == f"{p}:3: non-finite value '{value}'"
+    assert str(err.value) == f"{p}:4: face index {index} names none of the 3 vertices before it"
 
 
 def test_xyz_roundtrip(tmp_path):
@@ -773,12 +778,8 @@ def test_xyz_names_the_line_of_a_bad_number(tmp_path):
     with pytest.raises(ValueError, match="could not convert string to float: 'zz'") as err:
         read_xyz(p)
     assert str(err.value).startswith(f"{p}:3: ")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_xyz_names_the_line_of_a_non_finite_value(tmp_path, value):
-    p = tmp_path / "c.xyz"
-    p.write_text(f"0 0\n{value} 1\n")
-    with pytest.raises(ValueError) as err:
-        read_xyz(p)
-    assert str(err.value) == f"{p}:2: non-finite value '{value}'"
+    for value in ("nan", "inf", "-inf"):
+        p.write_text(f"0 0\n{value} 1\n")
+        with pytest.raises(ValueError) as err:
+            read_xyz(p)
+        assert str(err.value) == f"{p}:2: non-finite value '{value}'"

@@ -1,6 +1,10 @@
 """Indexed nearest-neighbor queries against a brute-force oracle."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -483,18 +487,34 @@ def test_neighbor_list_takes_an_integral_float_k():
 
 
 def test_tree_queries_take_two_workers_from_the_size_rule_on(monkeypatch):
-    monkeypatch.delenv("LJL_THREADS", raising=False)
+    monkeypatch.setattr(neighbors, "THREADS_CAP", None)
     assert neighbors._workers(neighbors._THREADED - 1) == 1
     assert neighbors._workers(neighbors._THREADED) == 2
     # LJL_THREADS caps the count and never raises it
-    for cap, workers in (("1", 1), ("2", 2), ("4", 2)):
-        monkeypatch.setenv("LJL_THREADS", cap)
+    for cap, workers in ((1, 1), (2, 2), (4, 2)):
+        monkeypatch.setattr(neighbors, "THREADS_CAP", cap)
         assert neighbors._workers(neighbors._THREADED) == workers
         assert neighbors._workers(neighbors._THREADED - 1) == 1
-    for bad in ("0", "-1", "1.5", "two", " "):
-        monkeypatch.setenv("LJL_THREADS", bad)
-        with pytest.raises(ValueError, match=f"LJL_THREADS must be a positive integer, got '{bad}'"):
-            neighbors._workers(100)
+    monkeypatch.setattr(neighbors, "THREADS_ERROR", "LJL_THREADS must be a positive integer")
+    with pytest.raises(ValueError, match="LJL_THREADS must be a positive integer"):
+        neighbors._workers(100)
+
+
+@pytest.mark.parametrize("value, cap, error", [
+    ("", None, None), ("1", 1, None), (" 3 ", 3, None), ("0", None, "'0'"), ("-1", None, "'-1'"),
+    ("1.5", None, "'1.5'"), ("two", None, "'two'"), ("²", None, "'²'"), (" ", None, "' '"),
+])
+def test_ljl_threads_is_parsed_once_at_import(value, cap, error):
+    # the package reads LJL_THREADS on import, so each value needs a fresh process
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, os, ljlayer; print(json.dumps([ljlayer.THREADS_CAP, "
+         "ljlayer.THREADS_ERROR, os.environ.get('OMP_NUM_THREADS')]))"],
+        env={**env, "LJL_THREADS": value}, capture_output=True, text=True, check=True).stdout
+    got_cap, got_error, omp = json.loads(out)
+    assert (got_cap, omp) == (cap, None if cap is None else str(cap))
+    assert got_error == (None if error is None
+                         else f"LJL_THREADS must be a positive integer, got {error}")
 
 
 class _QuerySpy:
@@ -513,9 +533,9 @@ def test_threaded_tree_query_equals_the_one_worker_query(monkeypatch, metric):
     x = np.random.default_rng(9000).random((9000, 2))
     index = build_index(x, metric)
     index._tree = spy = _QuerySpy(index._tree)
-    monkeypatch.setenv("LJL_THREADS", "1")
+    monkeypatch.setattr(neighbors, "THREADS_CAP", 1)
     single = neighbors._k_nearest(index, 3)
-    monkeypatch.delenv("LJL_THREADS")
+    monkeypatch.setattr(neighbors, "THREADS_CAP", None)
     threaded = neighbors._k_nearest(index, 3)
     assert spy.workers == [1, 2]
     for a, b in zip(single, threaded):
