@@ -41,10 +41,11 @@ _THREADED = 8192    # tree queries of this many rows or more run on two threads
 
 class SpatialIndex:
     """Frozen snapshot of a point cloud plus its k-d tree, or none: clouds of at
-    most _ALL_PAIRS points score every pair."""
+    most _ALL_PAIRS points score every pair.  wrapped=True views a cloud already
+    in the metric's domain, which must not change while the index is in use."""
 
-    def __init__(self, points, metric: Metric = EUCLIDEAN):
-        pts = np.array(points, dtype=float, copy=True)
+    def __init__(self, points, metric: Metric = EUCLIDEAN, *, wrapped: bool = False):
+        pts = np.asarray(points, dtype=float) if wrapped else np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise ValueError(f"cloud must have shape (n, 2) or (n, 3), got {pts.shape}")
         if pts.shape[0] < 1:
@@ -53,7 +54,7 @@ class SpatialIndex:
             raise ValueError("cloud contains non-finite coordinates")
         if metric.periodic and pts.shape[1] != 2:
             raise ValueError("periodic metric is defined for 2D clouds only")
-        pts = metric.wrap(pts)      # the tree and _select score the same coordinates
+        pts = pts.view() if wrapped else metric.wrap(pts)     # the tree and _select score these
         pts.setflags(write=False)
         self.points = pts
         self.metric = metric
@@ -242,7 +243,7 @@ class NeighborList:
                     return pairs
         narrow = self._cand is not None and 2.0 * moved >= self._slack
         pairs, self._cand, self._rho, dk, rescans = _k_nearest(
-            build_index(x, self.metric), self.k, 1 if narrow else _EXTRA)
+            SpatialIndex(x, self.metric, wrapped=True), self.k, 1 if narrow else _EXTRA)
         self._shape = x.shape
         if not narrow:
             self._slack = np.median(self._rho - dk)

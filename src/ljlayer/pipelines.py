@@ -21,6 +21,7 @@ embedded dynamics alone.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -230,44 +231,48 @@ def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
     return params, schedule
 
 
-def _relax(cloud, move, metric, k, steps, tol: float, seed, noise=None):
+class _Loop:
+    """The relaxation loop between two steps: cloud, NeighborList (none when k
+    is None) and its table, traces, steps taken and last displacement."""
+
+    def __init__(self, cloud, metric, k, noise=None):
+        self.cloud, self.metric, self.noise = cloud, metric, noise
+        self.iterations, self.disp = 0, 0.0
+        self.neighbors = None if k is None else NeighborList(metric, k)
+        self.pairs = None if k is None else self.neighbors.update(cloud)
+        self.trace_d, self.trace_n = (None if k is None else []), (None if noise is None else [])
+
+
+def _relax(loop: _Loop, move, steps, tol: float, seed):
     """The relaxation loop of every pipeline; returns (cloud, RunReport).
 
     Each step t replaces the cloud by move(t, cloud, pairs), where pairs is
-    the exact k-nearest-neighbor table of the current cloud.  A NeighborList
-    keeps the table exact on every new cloud, given the step's largest
-    per-point displacement under the metric; its first column gives the
-    distance trace, and noise(cloud), when given (embed_refine's surface
-    distance), the noise trace.  With k None the loop keeps no table, pairs
-    is None and no trace is recorded (pass no noise then).  The loop stops
-    after the first step whose displacement falls below tol.
+    the exact k-nearest-neighbor table of the current cloud.  The loop's
+    NeighborList keeps the table exact on every new cloud, given the step's
+    largest per-point displacement under the metric; its first column gives
+    the distance trace, and loop.noise(cloud), when set, the noise trace.
+    Without a list pairs is None.  The loop stops after the first step whose
+    displacement falls below tol; a later call on `loop` continues from there.
     """
-    neighbors = None if k is None else NeighborList(metric, k)
-    pairs = None if neighbors is None else neighbors.update(cloud)
-    trace_d = None if neighbors is None else []
-    trace_n = None if noise is None else []
-    iterations = 0
-    disp = 0.0
-    stop_reason = "max_iter"
     for t in steps:
-        new = move(t, cloud, pairs)
-        disp = float(metric.distance(new, cloud).max())
-        cloud = new
-        iterations += 1
-        if neighbors is not None:
-            pairs = neighbors.update(cloud, disp)
-            trace_d.append(float(metric.distance(cloud, cloud.take(pairs[:, 0], axis=0)).mean()))
-        if noise is not None:
-            trace_n.append(noise(cloud))
-        if disp < tol:
-            stop_reason = "tol"
+        new = move(t, loop.cloud, loop.pairs)
+        loop.disp = float(loop.metric.distance(new, loop.cloud).max())
+        loop.cloud = new
+        loop.iterations += 1
+        if loop.neighbors is not None:
+            loop.pairs = loop.neighbors.update(new, loop.disp)
+            loop.trace_d.append(float(loop.metric.distance(new, new.take(loop.pairs[:, 0], axis=0)).mean()))
+        if loop.noise is not None:
+            loop.trace_n.append(loop.noise(new))
+        if loop.disp < tol:
             break
-    report = RunReport(iterations, disp, seed,
-                       None if trace_d is None else np.array(trace_d),
-                       None if trace_n is None else np.array(trace_n),
-                       0 if neighbors is None else neighbors.rebuilds, stop_reason,
-                       knn_rescans=0 if neighbors is None else neighbors.rescans)
-    return cloud, report
+    report = RunReport(loop.iterations, loop.disp, seed,
+                       None if loop.trace_d is None else np.array(loop.trace_d),
+                       None if loop.trace_n is None else np.array(loop.trace_n),
+                       0 if loop.neighbors is None else loop.neighbors.rebuilds,
+                       "tol" if loop.iterations and loop.disp < tol else "max_iter",
+                       knn_rescans=0 if loop.neighbors is None else loop.neighbors.rescans)
+    return loop.cloud, report
 
 
 def bluenoise_2d(
@@ -307,7 +312,7 @@ def bluenoise_2d(
     def move(t, cloud, pairs):
         return boundary.apply(lj_step(cloud, pairs, dt_exponential(t, schedule), params, metric, rng))
 
-    return _relax(boundary.apply(cloud), move, metric, params.k, range(max_iter), tol, seed)
+    return _relax(_Loop(boundary.apply(cloud), metric, params.k), move, range(max_iter), tol, seed)
 
 
 _GATE_COS = math.cos(math.pi / 4.0)
@@ -362,7 +367,7 @@ def redistribute_on_mesh(
             new[rows], faces[rows], _ = cache.project(rows, new.take(rows, axis=0))
         return new
 
-    cloud, report = _relax(cloud, move, EUCLIDEAN, params.k, range(max_iter), tol, seed)
+    cloud, report = _relax(_Loop(cloud, EUCLIDEAN, params.k), move, range(max_iter), tol, seed)
     return cloud, replace(report, face_requeries=cache.requeries, face_tests=cache.face_tests,
                           gated_out=gated_out)
 
@@ -454,6 +459,12 @@ def embed_refine(
     non-finite or too large to square raises ValueError at that step.
     Returns (cloud, RunReport).
     """
+    loop, params = _embed_entry(refiner, cloud0, params, sigma_multiplier, trace)
+    return _embed_steps(refiner, loop, window, params, alpha, beta, seed, window.total)
+
+
+def _embed_entry(refiner, cloud0, params, sigma_multiplier, trace):
+    """embed_refine's checks and defaults; returns the loop on entry and the LjParams."""
     cloud = _as_cloud(cloud0, 3)
     n = len(cloud)
     if n < 2:
@@ -464,9 +475,17 @@ def embed_refine(
         params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
     if params.k > n - 1:
         raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    surface = getattr(refiner, "surface", None)
+    noise = None if not trace or surface is None else lambda c: float(surface.distance(c).mean())
+    # the steps find their own pairs, so the loop's table only feeds the trace: k = 1
+    return _Loop(cloud, EUCLIDEAN, 1 if trace else None, noise), params
+
+
+def _embed_steps(refiner, loop, window, params, alpha, beta, seed, last):
+    """embed_refine's steps after loop.iterations, up to `last`.  No pair step and no
+    draw from `rng` comes before window.start: until then this is the refiner-only run."""
     schedule = Schedule(alpha=alpha, beta=beta, kind="adaptive")
     rng = np.random.default_rng(seed)
-    surface = getattr(refiner, "surface", None)
 
     def move(t, prev, _):
         refined = np.asarray(refiner.step(t, prev), dtype=float)
@@ -489,12 +508,7 @@ def embed_refine(
                              f"{_MAX_COORD:.3g}")
         return cloud
 
-    def noise(cloud):
-        return float(surface.distance(cloud).mean())
-
-    # move() finds its own pairs, so the loop's table only feeds the trace: k = 1
-    return _relax(cloud, move, EUCLIDEAN, 1 if trace else None, range(1, window.total + 1),
-                  0.0, seed, noise if trace and surface is not None else None)
+    return _relax(loop, move, range(loop.iterations + 1, last + 1), 0.0, seed)
 
 
 @dataclass(frozen=True)
@@ -575,24 +589,52 @@ def _init_cloud(config: EmbedConfig):
     return g / r + config.init_jitter * rng.standard_normal((config.n, 3))
 
 
+def _refiner(config: EmbedConfig, surface) -> SurfaceRefiner:
+    return SurfaceRefiner(surface, pull=config.pull, noise0=config.noise0,
+                          decay=config.noise_decay, seed=config.seed)
+
+
 def run_embedded(config: EmbedConfig, embedded: bool = True, surface=None, trace: bool = True):
     """One harness run; embedded=False runs the refiner alone on the same streams.
 
     trace is passed to embed_refine: False skips the per-step scores.
     """
-    if surface is None:
-        surface = UnitSphere()
-    refiner = SurfaceRefiner(surface, pull=config.pull, noise0=config.noise0,
-                             decay=config.noise_decay, seed=config.seed)
     window = config.window() if embedded else RefineWindow.disabled(config.total)
-    cloud0 = _init_cloud(config)
-    return embed_refine(refiner, cloud0, window, params=config.lj_params(),
-                        alpha=config.alpha, beta=config.beta, seed=config.seed, trace=trace)
+    return embed_refine(_refiner(config, surface), _init_cloud(config), window,
+                        params=config.lj_params(), alpha=config.alpha, beta=config.beta,
+                        seed=config.seed, trace=trace)
 
 
 def _final_scores(cloud, surface) -> Scores:
     return Scores(distance=distance_score(cloud),
                   noise=float(surface.distance(cloud).mean()))
+
+
+class _Branches:
+    """A config's refiner-only run, saving copies of its loop and refiner (not the surface)
+    before each of `starts` and at its end.  compare(config), for a config differing only
+    in window, alpha and beta, returns the increment report and its embedded run, which
+    goes on from the state saved at its window start (see _embed_steps), or at the end."""
+
+    def __init__(self, config: EmbedConfig, starts, surface, trace: bool):
+        refiner = _refiner(config, surface)
+        self.surface = surface = refiner.surface
+        loop, params = _embed_entry(refiner, _init_cloud(config), config.lj_params(),
+                                    config.sigma_multiplier, trace)
+        self.saved = {}
+        for start in (*sorted(starts), config.total + 1):
+            self.base = _embed_steps(refiner, loop, RefineWindow.disabled(config.total),
+                                     params, config.alpha, config.beta, config.seed, start - 1)
+            self.saved[start] = copy.deepcopy((loop, refiner), {id(surface): surface})
+        self.scores = _final_scores(self.base[0], surface)
+
+    def compare(self, config: EmbedConfig):
+        window = config.window()
+        loop, refiner = copy.deepcopy(self.saved[window.start or config.total + 1],
+                                      {id(self.surface): self.surface})
+        ljl = _embed_steps(refiner, loop, window, config.lj_params(), config.alpha,
+                           config.beta, config.seed, config.total)
+        return increment_report(self.scores, _final_scores(ljl[0], self.surface)), ljl
 
 
 def embed_compare(config: EmbedConfig, surface=None, trace: bool = True):
@@ -602,12 +644,9 @@ def embed_compare(config: EmbedConfig, surface=None, trace: bool = True):
     ScoreReport, scored on the final clouds, and each run is its (cloud,
     RunReport) pair; trace=False leaves the runs' traces None.
     """
-    if surface is None:
-        surface = UnitSphere()
-    base = run_embedded(config, embedded=False, surface=surface, trace=trace)
-    ljl = run_embedded(config, embedded=True, surface=surface, trace=trace)
-    report = increment_report(_final_scores(base[0], surface), _final_scores(ljl[0], surface))
-    return report, base, ljl
+    runs = _Branches(config, {config.window().start} - {None}, surface, trace)
+    report, ljl = runs.compare(config)
+    return report, runs.base, ljl
 
 
 _SWEEP_AXES = ("ss", "alpha", "beta", "alpha_denoise")
@@ -630,31 +669,30 @@ def _sweep_config(axis: str, value: float, seed: int, base: EmbedConfig) -> Embe
 
 
 def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list[dict]:
-    """Paired embed runs for each (value, seed); one result row per run."""
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    """Paired embed runs for each (value, seed), value-major; one result row per run.
+    Every config is checked first; a run that diverges fails at its own row."""
     values = list(values)
-    seeds = list(seeds)
+    seeds = [int(seed) for seed in seeds]
     if not values:
         raise ValueError("sweep needs at least one value")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     if base is None:
         base = EmbedConfig()
-    rows = []
-    for value in values:
-        for seed in seeds:
-            config = _sweep_config(axis, value, int(seed), base)
-            report, _, _ = embed_compare(config, trace=False)
-            rows.append({
-                "value": float(value),
-                "seed": int(seed),
-                "distance_score": report.distance_score_ljl,
-                "noise_score": report.noise_score_ljl,
-                "distance_increment": report.distance_increment,
-                "noise_increment": report.noise_increment,
-                "ratio": float("nan") if report.ratio is None else report.ratio,
-            })
+    configs = [(float(value), _sweep_config(axis, value, seed, base))
+               for value in values for seed in seeds]
+    starts = {config.window().start for _, config in configs} - {None}
+    by_seed, rows = {}, []
+    for value, config in configs:
+        if config.seed not in by_seed:
+            by_seed[config.seed] = _Branches(config, starts, UnitSphere(), trace=False)
+        report, _ = by_seed[config.seed].compare(config)
+        rows.append({"value": value, "seed": config.seed,
+                     "distance_score": report.distance_score_ljl,
+                     "noise_score": report.noise_score_ljl,
+                     "distance_increment": report.distance_increment,
+                     "noise_increment": report.noise_increment,
+                     "ratio": float("nan") if report.ratio is None else report.ratio})
     return rows
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ljlayer import neighbors
-from ljlayer.metrics import EUCLIDEAN, PERIODIC_UNIT
+from ljlayer.metrics import EUCLIDEAN, PERIODIC_UNIT, Metric
 from ljlayer.neighbors import NeighborList, SpatialIndex, build_index, k_nearest_all, nearest_all
 
 
@@ -457,6 +457,23 @@ def test_neighbor_list_rejects_a_negative_move():
     x[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         nbrs.update(x, np.nan)
+
+
+def test_neighbor_list_rebuilds_on_its_cloud_as_given(monkeypatch):
+    # the list's periodic cloud already lies in [0, 1), as Boundary.apply leaves
+    # it: a rebuild neither copies it nor wraps it again, and leaves it writable
+    x = np.random.default_rng(8).random((300, 2))
+    wraps = []
+    wrap = Metric.wrap
+    monkeypatch.setattr(Metric, "wrap", lambda self, points: wraps.append(1) or wrap(self, points))
+    nbrs = NeighborList(PERIODIC_UNIT, 2)
+    pairs = nbrs.update(x)
+    index = SpatialIndex(x, PERIODIC_UNIT, wrapped=True)
+    assert wraps == [] and nbrs.rebuilds == 1
+    assert np.shares_memory(index.points, x) and not index.points.flags.writeable
+    assert x.flags.writeable
+    np.testing.assert_array_equal(pairs, k_nearest_all(build_index(x, PERIODIC_UNIT), 2))
+    assert wraps == [1]     # a plain index still wraps its copy
 
 
 def test_neighbor_list_rejects_a_cloud_of_another_shape():

@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ljlayer.analysis import distance_score
+from ljlayer import pipelines
+from ljlayer.analysis import Scores, distance_score, increment_report
 from ljlayer.core import LjParams, Schedule
 from ljlayer.geometry import FaceCache, MeshProjector, icosphere, normalize_mesh
 from ljlayer.metrics import PERIODIC_UNIT
@@ -543,6 +546,93 @@ def test_sweep_rows_equal_traced_compares():
             "noise_increment": report.noise_increment, "ratio": ratio})
 
 
+_TEST_MESH = MeshSurface(normalize_mesh(icosphere(1)))
+
+
+def _outcome(run):
+    """A run's cloud bytes and report dict, or the message of the ValueError it raised."""
+    try:
+        cloud, report = run()
+    except ValueError as exc:
+        return str(exc)
+    return cloud.tobytes(), repr(report.to_dict())
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 30), total=st.integers(1, 16), seed=st.integers(0, 2**16),
+       init=st.sampled_from(["gauss", "noisy_surface"]), noise0=st.sampled_from([0.05, 3.0, 22.3]),
+       trace=st.booleans(), mesh=st.booleans(), data=st.data())
+def test_branched_runs_equal_independent_runs(n, total, seed, init, noise0, trace, mesh, data):
+    # each embedded run goes on from the refiner-only run's state at its window
+    # start; a run made from step 1 on its own must give the same bytes
+    surface = _TEST_MESH if mesh else UnitSphere()
+    first = EmbedConfig(n=n, total=total, start=None, stop=None, init=init, noise0=noise0,
+                        seed=seed)
+    windows = st.integers(1, total).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, total)))
+    drawn = data.draw(st.lists(st.tuples(st.one_of(st.just(None), windows),
+                                         st.sampled_from([0.0, 0.5, 2.5]),
+                                         st.sampled_from([0.01, 0.2])), max_size=2))
+    configs = [first, replace(first, start=1, stop=total), replace(first, start=total, stop=total),
+               replace(first, start=1, stop=total, alpha=0.0)]
+    configs += [replace(first, start=w and w[0], stop=w and w[1], alpha=a, beta=b)
+                for w, a, b in drawn]
+    runs = pipelines._Branches(first, {c.window().start for c in configs} - {None}, surface, trace)
+    assert _outcome(lambda: runs.base) == _outcome(lambda: run_embedded(first, False, surface, trace))
+    for config in configs:
+        assert (_outcome(lambda: runs.compare(config)[1])
+                == _outcome(lambda: run_embedded(config, True, surface, trace)))
+    config = data.draw(st.sampled_from(configs[1:]))
+
+    def scores(embedded):
+        cloud = run_embedded(config, embedded, surface, trace)[0]
+        return Scores(distance_score(cloud), float(surface.distance(cloud).mean()))
+
+    try:
+        report = repr(embed_compare(config, surface, trace)[0])
+    except ValueError as exc:
+        report = str(exc)
+    try:
+        expected = repr(increment_report(scores(False), scores(True)))
+    except ValueError as exc:
+        expected = str(exc)
+    assert report == expected
+
+
+@pytest.fixture
+def refiner_steps(monkeypatch):
+    """Counts the toy refiner's steps: each one projects the cloud onto the unit sphere once."""
+    calls = []
+    closest = UnitSphere.closest
+
+    def counted(self, points):
+        calls.append(1)
+        return closest(self, points)
+
+    monkeypatch.setattr(UnitSphere, "closest", counted)
+    return calls
+
+
+def test_paired_runs_share_the_refiner_only_steps(refiner_steps):
+    # the refiner-only run takes 100 steps; the embedded run goes on from its
+    # step 59, so it adds steps 60..100
+    embed_compare(EmbedConfig(total=100, start=60, stop=95))
+    assert len(refiner_steps) == 100 + 41
+    refiner_steps.clear()
+    # one refiner-only run, then 41 + 31 + 21 + 11 steps; ss = 100 lies past
+    # stop = 95, so that window is disabled and its run is the refiner-only one
+    run_sweep("ss", [60, 70, 80, 90, 100], [0])
+    assert len(refiner_steps) == 100 + 41 + 31 + 21 + 11
+
+
+def test_sweep_checks_every_window_before_the_first_run(refiner_steps):
+    # ss = 70 lies past stop and disables its window; ss = 30 gives the invalid
+    # window (30, 60) in 50 steps, which must fail before any run
+    base = EmbedConfig(n=20, total=50, start=10, stop=60)
+    with pytest.raises(ValueError, match="start=30, stop=60, total=50"):
+        run_sweep("ss", [70, 30], [0, 1], base=base)
+    assert refiner_steps == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_embed_divergence_fails_at_its_first_step():
     # alpha = 4.8 drives this seed's cloud beyond float range at step 56; no
@@ -550,6 +640,10 @@ def test_embed_divergence_fails_at_its_first_step():
     msg = r"diverged at step 56 \(alpha=4.8\): refiner displacement 1\.5\d*e\+125"
     with pytest.raises(ValueError, match=msg):
         run_sweep("alpha_denoise", [4.8], [5071])
+    # rows go value-major: seed 5071's refiner-only run comes first, at
+    # alpha = 0.3, and its embedded run at alpha = 4.8 still fails at step 56
+    with pytest.raises(ValueError, match=msg):
+        run_sweep("alpha_denoise", [0.3, 4.8], [0, 5071])
     with pytest.raises(ValueError, match=msg):
         run_embedded(EmbedConfig.denoising(alpha=4.8, seed=5071))
 
