@@ -55,15 +55,11 @@ def periodogram(cloud, fmax: int = 128):
     torus, so wrapping points changes nothing.  The DC bin (center) always
     equals N and is excluded from radial profiles downstream.
 
-    The amplitude sum_j ex[:, j] ey[:, j]^T runs over chunks of at most
-    _CHUNK = 8192 (N0) points, each chunk's exponentials built in place in
-    two reused (2*fmax+1) x N0 complex buffers, so memory is about
-    2 (2*fmax+1) N0 16 bytes plus two grids, whatever N is.  A cloud of at
-    most N0 points is one chunk whose rows are np.exp of every frequency:
-    the exact single product.  Larger clouds build row f of each chunk as
-    w^f, w = exp(-2 pi i x), by repeated products restarted from np.exp
-    every _RESTART = 32 powers, and row -f as its conjugate; their grid lies
-    within 1e-14 N of the single product's (tested up to fmax = 256).
+    The sum runs over chunks of at most _CHUNK (N0) points in two reused
+    buffers, so memory does not grow with N (README, "CLI").  A cloud of at
+    most N0 points is one chunk: the exact single product.  A larger cloud's
+    rows are powers of exp(-2 pi i x), and its grid lies within 1e-14 N of
+    the single product's.
     """
     x = np.asarray(cloud, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:

@@ -265,11 +265,9 @@ _TINY = 1e-12       # absolute slack for distances near zero
 class MeshProjector:
     """Reusable batched closest-point queries against one mesh.
 
-    A query's candidates are the faces whose centroid lies within its pruning
-    radius r = (nearest-centroid distance + reach)(1 + g) + _TINY, where reach
-    is the largest centroid-to-vertex distance and g the tie guard; no other
-    face can win.  The winner is the (distance, face index) minimum of a full
-    scan.  The projector keeps no query state.
+    The winner is the (distance, face index) minimum of a full scan, found
+    among the faces within the pruning radius the README's "Mesh projection"
+    paragraph derives.  The projector keeps no query state.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -387,12 +385,10 @@ class FaceCache:
     `FaceCache(projector, points)` projects points fresh and keeps, per row,
     the query point q0 and the `cand` and `rho` of `MeshProjector._candidates`;
     `entry` is that projection.  `project(rows, q)` returns what
-    `projector.project(q)` returns, bit for bit.  From q, every face outside
-    a row's cand lies farther than room = rho - reach - |q - q0|, so a row
-    whose best face in cand lies, with the tie guard, below room is exact,
-    ties included.  Other rows are queried fresh and their entries replaced;
-    `requeries` counts them, and `face_tests` the exact triangle tests of
-    every `project` call.
+    `projector.project(q)` returns, bit for bit: a row whose best face in cand
+    lies, with the tie guard, below rho - reach - |q - q0| is exact, and other
+    rows are queried fresh.  `requeries` counts those, and `face_tests` the
+    exact triangle tests of every `project` call.
     """
 
     def __init__(self, projector: MeshProjector, points):

@@ -1,20 +1,9 @@
-"""Nearest-neighbor queries over an immutable point-cloud snapshot.
+"""Exact nearest-neighbor queries over an immutable point-cloud snapshot.
 
-Clouds of more than _ALL_PAIRS points get a k-d tree; smaller ones score
-every pair, which costs less than building and querying a tree.  Either way
-results match a brute-force scan, including tie-breaking: among equidistant
-candidates the lowest point index wins.  One routine, `_select`, scores
-candidate ids with the metric's arithmetic, one coordinate at a time, takes
-them in (distance, id) order, and certifies a row when its k-th distance
-stays below the radius beyond which every point outside its candidates lies.
-The rare rows a tree query cannot certify go back through it in one batch,
-twice as wide, once per coincident group.
-
-`NeighborList` keeps that table for a moving cloud by selecting from the
-candidates of its last query, and rebuilds only when a row fails, querying
-few candidates while steps are too large for spare ones to pay.  Every pair
-certifies every row, so a small cloud's list is built once.  The index keeps
-no query state.
+Results match a brute-force scan bit for bit, ties included: among
+equidistant candidates the lowest point index wins.  `NeighborList` keeps
+the same table for a moving cloud.  The README's "Library overview" describes
+the candidate selection, its certificate and the list's rebuild rule.
 """
 
 from __future__ import annotations
@@ -193,28 +182,15 @@ class NeighborList:
 
     `update(cloud, moved)` returns what `k_nearest_all(build_index(cloud,
     metric), k)` returns, bit for bit, given that no point moved farther than
-    `moved` under the metric since the previous call.  A rebuild runs exactly
-    that query and keeps the candidates of each row i and its certificate
-    radius rho_i.  Later calls add `moved` to the drift D and run the query's
-    own selection on the cached candidates alone.  A point outside row i's
-    candidates started at least rho_i away, and both it and point i moved at
-    most D since, so it is still at least rho_i - 2D away (on the torus too):
-    that is the row's certificate radius now.  When any row fails it, the
-    table is rebuilt from the current cloud.  No skin is tuned: each row's
-    slack is its own gap between rho_i and its k-th distance.  A cloud of at
-    most _ALL_PAIRS points caches every point with rho_i = inf, so its list
-    is built once and re-scored on each update.
-
-    Each rebuild takes its width from the step that forced it.  Spare
-    candidates only let a table outlive later steps.  When 2 * moved is at
-    least the median slack of the last wide table (k+1+_EXTRA candidates per
-    row), such a step would have used up that table's room in one go, so the
-    rebuild queries k+2 candidates; otherwise, and on the first build, it
-    queries wide.  The width decides which rows certify, never the table.
-    `rebuilds` counts the rebuilds and `rescans` the rows their first query
-    could not certify.  A periodic cloud must lie in [0, 1), as
-    `Boundary.apply` leaves it: cached candidates are scored on it as given.
-    Every cloud must have the shape of the first.
+    `moved` under the metric since the previous call.  It selects from the
+    candidates of the last rebuild, each row certified against its radius
+    rho_i less twice the drift D summed from `moved`, and rebuilds the table
+    when any row fails; the rebuild queries narrow when 2 * moved is at least
+    the last wide table's median slack.  The width decides which rows
+    certify, never the table.  `rebuilds` counts the rebuilds and `rescans`
+    the rows their first query could not certify.  A periodic cloud must lie
+    in [0, 1), as `Boundary.apply` leaves it, and every cloud must have the
+    shape of the first.
     """
 
     def __init__(self, metric, k: int):

@@ -1,22 +1,8 @@
-"""End-to-end procedures built on the pair-dynamics core.
-
-Three pipelines:
-
-* ``bluenoise_2d``       - rearrange random points in the unit square into a
-                           blue-noise distribution (periodic, fixed, or no
-                           boundary).
-* ``redistribute_on_mesh`` - spread a 3D cloud evenly over a triangle mesh,
-                           gating each point's update by the normal-angle test
-                           and re-projecting after every step.
-* ``embed_refine``       - interleave pair-dynamics steps into an iterative
-                           refiner over a step window, with the adaptive step
-                           size driven by the refiner's own displacement.
-
-``SurfaceRefiner`` is a small stand-in for learned refiners: it contracts
-points toward a target surface while injecting decaying Gaussian noise.  The
-embed/sweep harness at the bottom pairs refiner-only runs against embedded
-runs under shared random streams, so any difference is attributable to the
-embedded dynamics alone.
+"""End-to-end procedures built on the pair-dynamics core: ``bluenoise_2d``,
+``redistribute_on_mesh`` and ``embed_refine``, which share one relaxation
+loop, and the harness that pairs refiner-only runs against embedded runs of a
+toy ``SurfaceRefiner`` under shared random streams (README, "Library
+overview").
 """
 
 from __future__ import annotations
@@ -138,26 +124,14 @@ _STOP_REASONS = ("tol", "max_iter")
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a pipeline did: iteration count, last displacement, score traces.
+    """What a pipeline did; the README's "Library overview" describes each field.
 
-    Traces hold one value per iteration; both are None when none was
-    recorded (embed_refine with trace=False).  Only embed_refine records a
-    noise trace, since only its refiner moves points off the surface; the
-    other pipelines leave it None.  knn_rebuilds counts the exact
-    k-nearest-neighbor rebuilds of the relaxation loop's neighbor table, the
-    one on entry included; embed_refine keeps that table (k = 1) only for its
-    trace, so with trace=False it reports 0.  stop_reason is "tol" when the
-    loop stopped on a displacement below tol and "max_iter" when it ran
-    every step.  face_requeries counts the rows redistribute_on_mesh's face
-    cache sent to a fresh projection after the entry projection, and
-    face_tests the exact triangle tests that cache ran after it, re-queried
-    rows included; gated_out the points redistribute_on_mesh's normal gate
-    held back, summed over steps.  All three are 0 for the other pipelines.
-    knn_rescans counts the rows of the knn_rebuilds that their first tree
-    query could not certify, which a wider query answered instead; clipped
-    clouds, whose edges pile points up, have many.  A cloud
-    of at most neighbors._ALL_PAIRS (128) points scores every pair, so its
-    table is built once: knn_rebuilds reads 1 (0 untraced) and knn_rescans 0.
+    Each trace holds one value per iteration, or is None when none was
+    recorded; a noise trace needs a distance trace, and only embed_refine
+    records one.  stop_reason is "tol" or "max_iter".  The knn counters count
+    the loop's neighbor-table rebuilds, the entry build included, and the rows
+    their first query left uncertified; the face and gate counters are
+    redistribute_on_mesh's and 0 for the other pipelines.
     """
 
     iterations: int
@@ -214,21 +188,29 @@ def _as_cloud(cloud, dim: int):
 def _check_stop(tol, max_iter):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
 
 
-def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
-    """Defaults and checks shared by the exponential-schedule pipelines."""
+def _lj_params(n: int, params, sigma_multiplier: float) -> LjParams:
+    """params, by default epsilon=2 and sigma = sigma_prime(n) * sigma_multiplier;
+    its k must leave k neighbors among n points."""
     if params is None:
         params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
+    if params.k > n - 1:
+        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    return params
+
+
+def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
+    """Defaults and checks shared by the exponential-schedule pipelines."""
     if schedule is None:
         schedule = Schedule(alpha=0.5, beta=0.01)
     if schedule.kind != "exponential":
         raise ValueError(f"{name} uses the exponential decay schedule")
-    if params.k > n - 1:
-        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
-    return params, schedule
+    return _lj_params(n, params, sigma_multiplier), schedule
 
 
 class _Loop:
@@ -471,10 +453,7 @@ def _embed_entry(refiner, cloud0, params, sigma_multiplier, trace):
         raise ValueError("embed_refine needs at least 2 points")
     if not np.abs(cloud).max() < _MAX_COORD:
         raise ValueError(f"initial cloud coordinates must be below {_MAX_COORD:.3g} in magnitude")
-    if params is None:
-        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
-    if params.k > n - 1:
-        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    params = _lj_params(n, params, sigma_multiplier)
     surface = getattr(refiner, "surface", None)
     noise = None if not trace or surface is None else lambda c: float(surface.distance(c).mean())
     # the steps find their own pairs, so the loop's table only feeds the trace: k = 1

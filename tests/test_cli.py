@@ -10,7 +10,7 @@ import pytest
 
 from ljlayer import geometry
 from ljlayer.analysis import distance_score
-from ljlayer.cli import main
+from ljlayer.cli import build_parser, main
 from ljlayer.core import LjParams, Schedule
 from ljlayer.geometry import icosphere, load_obj, noise_score, normalize_mesh, save_obj
 from ljlayer.pipelines import Boundary, bluenoise_2d, redistribute_on_mesh, sigma_prime
@@ -193,6 +193,42 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("value,seed,")
 
 
+@pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed", "analyze", "score",
+                                     "sweep"])
+def test_summary_holds_every_parsed_flag(tmp_path, capsys, sphere_obj, command):
+    cloud = tmp_path / "c.xyz"
+    np.savetxt(cloud, np.random.default_rng(0).random((24, 2)))
+    argv = {
+        "bluenoise": ["--n", "32", "--max-iter", "5"],
+        "redistribute": ["--mesh", sphere_obj, "--n", "20", "--max-iter", "5"],
+        "embed": ["--n", "20", "--t", "10", "--compare"],
+        "analyze": ["--cloud", str(cloud), "--fmax", "4"],
+        "score": ["--cloud", str(cloud)],
+        "sweep": ["--axis", "alpha", "--values", "1", "--seeds", "1", "--n", "20", "--t", "10",
+                  "--out", str(tmp_path / "s.csv")],
+    }[command]
+    parsed = vars(build_parser().parse_args([command, *argv]))
+    s = summary_of(capsys, command, *argv)
+    assert sorted(set(parsed) - {"func"} - set(s)) == []
+
+
+def test_the_parser_is_built_at_the_first_main_call():
+    probe = ("from ljlayer import cli; sizes = [cli._parser.cache_info().currsize]; "
+             "cli.main(['polish']); cli.main(['polish']); "
+             "print(sizes + [cli._parser.cache_info().currsize, cli._parser.cache_info().misses])")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert run.stdout == "[0, 1, 1]\n"
+
+
+def test_parsed_flags_do_not_leak_between_calls(capsys):
+    # the parser is built once per process; a resolved value must not stick to it
+    first = run_cli(capsys, "embed", "--t", "40")
+    second = run_cli(capsys, "embed", "--t", "40", "--ss", "30")
+    third = run_cli(capsys, "embed", "--t", "40")
+    assert first == third
+    assert json.loads(first[1])["ss"] == 24 and json.loads(second[1])["ss"] == 30
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_unknown_command_exits_2(capsys):
@@ -225,6 +261,14 @@ def test_empty_sweep_values_exit_2(tmp_path, capsys):
     code = main(["sweep", "--axis", "alpha", "--values", ",",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
+
+
+def test_sweep_without_seeds_exits_2(tmp_path, capsys):
+    code = main(["sweep", "--axis", "alpha", "--values", "1", "--seeds", "0",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "at least one seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):

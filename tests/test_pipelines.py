@@ -331,6 +331,14 @@ def test_redistribute_validation(sphere):
         redistribute_on_mesh(sphere.vertices[:10], sphere, max_iter=-5)
 
 
+def test_non_integer_max_iter_is_rejected_up_front(sphere):
+    with pytest.raises(ValueError, match="max_iter must be an integer, got 2.5"):
+        bluenoise_2d(64, max_iter=2.5)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        redistribute_on_mesh(sphere.vertices[:10], sphere, max_iter=3.0)
+    assert bluenoise_2d(16, max_iter=np.int64(3))[1].iterations == 3
+
+
 # ----------------------------------------------------------------- surfaces
 
 def test_unit_sphere_closest_and_distance():
