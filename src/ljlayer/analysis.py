@@ -218,11 +218,9 @@ def write_profile_csv(stats: SpectralStats, path):
             fh.write(f"{int(r)},{p:.9g},{a:.9g}\n")
 
 
-def write_periodogram_pgm(stats, path):
+def write_periodogram_pgm(stats: SpectralStats, path):
     """8-bit ASCII PGM of the mean periodogram, log-scaled and max-normalized."""
-    grid = stats.grid if isinstance(stats, SpectralStats) else np.asarray(stats, dtype=float)
-    if grid.ndim != 2:
-        raise ValueError("periodogram grid must be 2D")
+    grid = stats.grid
     levels = np.log1p(np.maximum(grid, 0.0))
     top = levels.max()
     if top > 0:

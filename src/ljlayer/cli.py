@@ -155,7 +155,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--values: {exc}") from None
     seeds = list(range(args.seeds))
     base = _embed_config(args)
     rows = pipelines.run_sweep(args.axis, values, seeds, base)

@@ -1,13 +1,13 @@
 """Lennard-Jones pair dynamics on point clouds.
 
-The pair potential is V(r) = 4*eps*((sigma/r)**12 - a*(sigma/r)**6) with
-a = 1 when attraction is enabled and a = 0 otherwise.  One update step moves
-every point along the line to each of its assigned neighbors by
+The pair potential is V(r) = 4*eps*((sigma/r)**12 - (sigma/r)**6): repulsive
+at short range, weakly attractive at long range.  One update step moves every
+point along the line to each of its assigned neighbors by
 
     tanh(F(clamp(r))) * dt**2 / 2
 
 where F = -dV/dr (positive = repulsive) and r is clamped to
-[clamp_lo_factor*sigma, clamp_hi_factor*sigma] before the force is evaluated.
+[CLAMP_LO*sigma, CLAMP_HI*sigma] before the force is evaluated.
 The tanh bounds the step, and because no velocity is carried between calls the
 iteration is dissipative: an isolated pair drifts toward the equilibrium
 separation 2**(1/6)*sigma where the force vanishes.
@@ -37,6 +37,9 @@ __all__ = [
 # is drawn at random instead of dividing by a vanishing norm.
 COINCIDENT_TOL = 1e-12
 
+CLAMP_LO = 0.9
+CLAMP_HI = 100.0
+
 
 @dataclass(frozen=True)
 class LjParams:
@@ -48,19 +51,13 @@ class LjParams:
 
     epsilon: float = 2.0
     sigma: float = 1.0
-    clamp_lo_factor: float = 0.9
-    clamp_hi_factor: float = 100.0
     k: int = 1
-    attraction: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a finite number > 0, got {self.sigma}")
-        if not 0 < self.clamp_lo_factor < self.clamp_hi_factor:
-            raise ValueError("need 0 < clamp_lo_factor < clamp_hi_factor, got "
-                             f"{self.clamp_lo_factor}, {self.clamp_hi_factor}")
         if not (float(self.k).is_integer() and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k}")
         object.__setattr__(self, "k", int(self.k))   # 2.0 would break slicing downstream
@@ -75,15 +72,12 @@ class Schedule:
 
     alpha: float
     beta: float
-    kind: str = "exponential"
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be a finite number >= 0, got {self.beta}")
-        if self.kind not in ("exponential", "adaptive"):
-            raise ValueError(f"kind must be 'exponential' or 'adaptive', got {self.kind!r}")
 
 
 def _as_positive_r(r):
@@ -98,35 +92,30 @@ def _maybe_scalar(x):
 
 
 def lj_potential(r, params: LjParams):
-    """Pair potential 4*eps*((sigma/r)**12 - a*(sigma/r)**6) at separation r > 0."""
+    """Pair potential 4*eps*((sigma/r)**12 - (sigma/r)**6) at separation r > 0."""
     r = _as_positive_r(r)
     sr6 = (params.sigma / r) ** 6
-    a = 1.0 if params.attraction else 0.0
-    return _maybe_scalar(4.0 * params.epsilon * (sr6 * sr6 - a * sr6))
+    return _maybe_scalar(4.0 * params.epsilon * (sr6 * sr6 - sr6))
 
 
 def lj_force(r, params: LjParams):
-    """Radial force -dV/dr = (24*eps/r)*(2*(sigma/r)**12 - a*(sigma/r)**6).
+    """Radial force -dV/dr = (24*eps/r)*(2*(sigma/r)**12 - (sigma/r)**6).
 
     Positive values are repulsive, negative attractive.
     """
     r = _as_positive_r(r)
     sr6 = (params.sigma / r) ** 6
-    a = 1.0 if params.attraction else 0.0
-    return _maybe_scalar((24.0 * params.epsilon / r) * (2.0 * sr6 * sr6 - a * sr6))
+    return _maybe_scalar((24.0 * params.epsilon / r) * (2.0 * sr6 * sr6 - sr6))
 
 
 def clamp_distance(r, params: LjParams):
-    """Clamp separations to [clamp_lo_factor*sigma, clamp_hi_factor*sigma]."""
+    """Clamp separations to [CLAMP_LO*sigma, CLAMP_HI*sigma]."""
     r = np.asarray(r, dtype=float)
-    return _maybe_scalar(np.clip(r, params.clamp_lo_factor * params.sigma,
-                                 params.clamp_hi_factor * params.sigma))
+    return _maybe_scalar(np.clip(r, CLAMP_LO * params.sigma, CLAMP_HI * params.sigma))
 
 
 def dt_exponential(i, schedule: Schedule):
     """Exponentially decaying step size alpha * exp(-beta * i) for i >= 0."""
-    if schedule.kind != "exponential":
-        raise ValueError(f"schedule kind must be 'exponential', got {schedule.kind!r}")
     return schedule.alpha * float(np.exp(-schedule.beta * i))
 
 
@@ -136,8 +125,6 @@ def dt_adaptive(i, max_disp, schedule: Schedule):
     i is the 1-based iteration index; max_disp is the largest per-point
     displacement between the two most recent refiner outputs.
     """
-    if schedule.kind != "adaptive":
-        raise ValueError(f"schedule kind must be 'adaptive', got {schedule.kind!r}")
     if int(i) != i or i < 1:
         raise ValueError(f"iteration index must be an integer >= 1, got {i}")
     if max_disp < 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class RefineWindow:
         start = min(stop, max(1, round(0.6 * total)))
         return cls(total, start, stop)
 
-    @property
-    def enabled(self) -> bool:
-        return self.start is not None
-
     def active(self, t: int) -> bool:
         return self.start is not None and self.start <= t <= self.stop
 
@@ -194,23 +190,14 @@ def _check_stop(tol, max_iter):
         raise ValueError("max_iter must be >= 0")
 
 
-def _lj_params(n: int, params, sigma_multiplier: float) -> LjParams:
-    """params, by default epsilon=2 and sigma = sigma_prime(n) * sigma_multiplier;
+def _lj_params(n: int, params, multiplier: float) -> LjParams:
+    """params, by default epsilon=2 and sigma = sigma_prime(n) * multiplier;
     its k must leave k neighbors among n points."""
     if params is None:
-        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * sigma_multiplier)
+        params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * multiplier)
     if params.k > n - 1:
         raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
     return params
-
-
-def _lj_setup(name: str, n: int, params, schedule, sigma_multiplier: float):
-    """Defaults and checks shared by the exponential-schedule pipelines."""
-    if schedule is None:
-        schedule = Schedule(alpha=0.5, beta=0.01)
-    if schedule.kind != "exponential":
-        raise ValueError(f"{name} uses the exponential decay schedule")
-    return _lj_params(n, params, sigma_multiplier), schedule
 
 
 class _Loop:
@@ -265,14 +252,13 @@ def bluenoise_2d(
     tol: float = 1e-5,
     max_iter: int = 2000,
     seed: int = 0,
-    sigma_multiplier: float = 1.0,
 ):
     """Iterate pair-dynamics steps on a 2D cloud until displacements fall below tol.
 
     Pass a point count (drawn uniformly in the unit square from `seed`) or an
     explicit (n, 2) cloud.  Defaults: periodic boundary, epsilon=2,
-    sigma = sigma_prime(n) * sigma_multiplier, exponential decay alpha=0.5,
-    beta=0.01.  Returns (cloud, RunReport).
+    sigma = sigma_prime(n), exponential decay alpha=0.5, beta=0.01.
+    Returns (cloud, RunReport).
     """
     if boundary is None:
         boundary = Boundary.periodic()
@@ -288,7 +274,8 @@ def bluenoise_2d(
     if n == 1:
         # no neighbor exists, nothing can move
         return cloud, RunReport(0, 0.0, seed, np.empty(0), stop_reason="tol")
-    params, schedule = _lj_setup("bluenoise_2d", n, params, schedule, sigma_multiplier)
+    params = _lj_params(n, params, 1.0)
+    schedule = schedule or Schedule(alpha=0.5, beta=0.01)
     metric = boundary.metric
 
     def move(t, cloud, pairs):
@@ -308,7 +295,6 @@ def redistribute_on_mesh(
     tol: float = 1e-5,
     max_iter: int = 2000,
     seed: int = 0,
-    sigma_multiplier: float = 5.0,
 ):
     """Spread a 3D cloud evenly over a normalized mesh surface.
 
@@ -320,7 +306,8 @@ def redistribute_on_mesh(
     coordinates for the iteration.  Each step projects only the moved points,
     through one FaceCache, which returns what a fresh projection would, bit
     for bit.  The cloud is on the surface after every step, so the report
-    keeps no noise trace (it is None).  Returns (cloud, RunReport).
+    keeps no noise trace (it is None).  Defaults as in bluenoise_2d, but with
+    sigma = 5 * sigma_prime(n).  Returns (cloud, RunReport).
     """
     x0 = _as_cloud(cloud0, 3)
     n = len(x0)
@@ -329,7 +316,8 @@ def redistribute_on_mesh(
     if np.abs(mesh.vertices).max() > 1.0 + 1e-9:
         raise ValueError("mesh must be normalized to [-1, 1]^3 (see normalize_mesh)")
     _check_stop(tol, max_iter)
-    params, schedule = _lj_setup("redistribute_on_mesh", n, params, schedule, sigma_multiplier)
+    params = _lj_params(n, params, 5.0)
+    schedule = schedule or Schedule(alpha=0.5, beta=0.01)
 
     rng = np.random.default_rng(seed)
     cache = FaceCache(MeshProjector(mesh), x0)
@@ -426,7 +414,6 @@ def embed_refine(
     alpha: float = 2.5,
     beta: float = 0.01,
     seed: int = 0,
-    sigma_multiplier: float = 5.0,
     trace: bool = True,
 ):
     """Run a refiner for window.total steps, embedding pair dynamics inside the window.
@@ -435,17 +422,17 @@ def embed_refine(
     window.start <= t <= window.stop one pair-dynamics step follows, its step
     size set by dt_adaptive(i, d) where i = t - window.start + 1 counts steps
     inside the window and d is the largest per-point displacement the refiner
-    just produced.  Steps after the window run the refiner alone.  With
-    trace=False no per-step score is computed and the report's traces are
-    None; the cloud is the same either way.  A run whose coordinates become
-    non-finite or too large to square raises ValueError at that step.
-    Returns (cloud, RunReport).
+    just produced.  Steps after the window run the refiner alone.  params
+    defaults to epsilon=2, sigma = 5 * sigma_prime(n).  With trace=False no
+    per-step score is computed and the report's traces are None; the cloud is
+    the same either way.  A run whose coordinates become non-finite or too
+    large to square raises ValueError at that step.  Returns (cloud, RunReport).
     """
-    loop, params = _embed_entry(refiner, cloud0, params, sigma_multiplier, trace)
+    loop, params = _embed_entry(refiner, cloud0, params, trace)
     return _embed_steps(refiner, loop, window, params, alpha, beta, seed, window.total)
 
 
-def _embed_entry(refiner, cloud0, params, sigma_multiplier, trace):
+def _embed_entry(refiner, cloud0, params, trace):
     """embed_refine's checks and defaults; returns the loop on entry and the LjParams."""
     cloud = _as_cloud(cloud0, 3)
     n = len(cloud)
@@ -453,7 +440,7 @@ def _embed_entry(refiner, cloud0, params, sigma_multiplier, trace):
         raise ValueError("embed_refine needs at least 2 points")
     if not np.abs(cloud).max() < _MAX_COORD:
         raise ValueError(f"initial cloud coordinates must be below {_MAX_COORD:.3g} in magnitude")
-    params = _lj_params(n, params, sigma_multiplier)
+    params = _lj_params(n, params, 5.0)
     surface = getattr(refiner, "surface", None)
     noise = None if not trace or surface is None else lambda c: float(surface.distance(c).mean())
     # the steps find their own pairs, so the loop's table only feeds the trace: k = 1
@@ -463,7 +450,7 @@ def _embed_entry(refiner, cloud0, params, sigma_multiplier, trace):
 def _embed_steps(refiner, loop, window, params, alpha, beta, seed, last):
     """embed_refine's steps after loop.iterations, up to `last`.  No pair step and no
     draw from `rng` comes before window.start: until then this is the refiner-only run."""
-    schedule = Schedule(alpha=alpha, beta=beta, kind="adaptive")
+    schedule = Schedule(alpha=alpha, beta=beta)
     rng = np.random.default_rng(seed)
 
     def move(t, prev, _):
@@ -598,8 +585,7 @@ class _Branches:
     def __init__(self, config: EmbedConfig, starts, surface, trace: bool):
         refiner = _refiner(config, surface)
         self.surface = surface = refiner.surface
-        loop, params = _embed_entry(refiner, _init_cloud(config), config.lj_params(),
-                                    config.sigma_multiplier, trace)
+        loop, params = _embed_entry(refiner, _init_cloud(config), config.lj_params(), trace)
         self.saved = {}
         for start in (*sorted(starts), config.total + 1):
             self.base = _embed_steps(refiner, loop, RefineWindow.disabled(config.total),
@@ -633,6 +619,8 @@ _SWEEP_AXES = ("ss", "alpha", "beta", "alpha_denoise")
 
 def _sweep_config(axis: str, value: float, seed: int, base: EmbedConfig) -> EmbedConfig:
     if axis == "ss":
+        if not math.isfinite(value):
+            raise ValueError(f"sweep axis ss takes finite values, got {value}")
         ss = int(round(value))
         stop = base.stop if base.stop is not None else base.total
         if ss > stop:
@@ -645,6 +633,10 @@ def _sweep_config(axis: str, value: float, seed: int, base: EmbedConfig) -> Embe
     if axis == "alpha_denoise":
         return EmbedConfig.denoising(alpha=float(value), seed=seed)
     raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+
+
+_SWEEP_COLUMNS = ("value", "seed", "distance_score", "noise_score",
+                  "distance_increment", "noise_increment", "ratio")
 
 
 def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list[dict]:
@@ -666,26 +658,16 @@ def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list
         if config.seed not in by_seed:
             by_seed[config.seed] = _Branches(config, starts, UnitSphere(), trace=False)
         report, _ = by_seed[config.seed].compare(config)
-        rows.append({"value": value, "seed": config.seed,
-                     "distance_score": report.distance_score_ljl,
-                     "noise_score": report.noise_score_ljl,
-                     "distance_increment": report.distance_increment,
-                     "noise_increment": report.noise_increment,
-                     "ratio": float("nan") if report.ratio is None else report.ratio})
+        row = {"value": value, "seed": config.seed, "ratio": float("nan"),    # ratio None: NaN
+               **{k.removesuffix("_ljl"): v for k, v in asdict(report).items() if v is not None}}
+        rows.append({col: row[col] for col in _SWEEP_COLUMNS})
     return rows
-
-
-_SWEEP_COLUMNS = ("value", "seed", "distance_score", "noise_score",
-                  "distance_increment", "noise_increment", "ratio")
 
 
 def write_sweep_csv(rows, path):
     with open(path, "w") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
-            cells = []
-            for col in _SWEEP_COLUMNS:
-                v = row[col]
-                cells.append(str(v) if col == "seed" else f"{v:.9g}")
+            cells = [str(row[col]) if col == "seed" else f"{row[col]:.9g}" for col in _SWEEP_COLUMNS]
             fh.write(",".join(cells) + "\n")
     return path

@@ -284,7 +284,7 @@ def test_pgm_format(tmp_path):
 
 def test_pgm_accepts_raw_grid(tmp_path):
     path = tmp_path / "raw.pgm"
-    write_periodogram_pgm(np.zeros((3, 3)), path)
+    write_periodogram_pgm(radial_stats([np.zeros((3, 3))]), path)
     tokens = path.read_text().split()
     assert tokens[:4] == ["P2", "3", "3", "255"]
     assert all(t == "0" for t in tokens[4:])

@@ -271,6 +271,18 @@ def test_sweep_without_seeds_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("values, names", [("inf", ("ss", "inf")), ("nan", ("ss", "nan")),
+                                           ("1e400", ("ss", "inf")),    # parses to inf
+                                           ("1,abc", ("--values", "'abc'"))])
+def test_bad_sweep_values_exit_2_naming_the_flag_and_value(tmp_path, capsys, values, names):
+    code = main(["sweep", "--axis", "ss", "--values", values, "--seeds", "1",
+                 "--n", "20", "--t", "20", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert all(name in err for name in names), err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c.xyz"
     cloud.write_text("0 0 0\n1 1 1\n")

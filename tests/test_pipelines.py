@@ -96,17 +96,17 @@ def test_refine_window_validation():
 
 def test_refine_window_activity():
     w = RefineWindow(100, 60, 95)
-    assert w.enabled
+    assert w.start is not None
     assert not w.active(59) and w.active(60) and w.active(95) and not w.active(96)
     d = RefineWindow.disabled(100)
-    assert not d.enabled and not d.active(60)
+    assert d.start is None and not d.active(60)
 
 
 def test_default_window_fractions():
     assert RefineWindow.default_window(100) == RefineWindow(100, 60, 95)
     assert RefineWindow.default_window(60) == RefineWindow(60, 36, 57)
     assert RefineWindow.default_window(1) == RefineWindow(1, 1, 1)
-    assert not RefineWindow.default_window(0).enabled
+    assert RefineWindow.default_window(0).start is None
 
 
 def test_run_report_trace_length_checked():
@@ -216,13 +216,13 @@ def test_bluenoise_periodic_translation_equivariance():
 
 def test_bluenoise_fixed_boundary_contains_points():
     out, _ = bluenoise_2d(100, boundary=Boundary.fixed(), seed=2,
-                          sigma_multiplier=10.0, max_iter=150)
+                          params=LjParams(sigma=10.0 * sigma_prime(100)), max_iter=150)
     assert (out >= 0.0).all() and (out <= 1.0).all()
 
 
 def test_bluenoise_unbounded_spills_out():
     out, _ = bluenoise_2d(100, boundary=Boundary.none(), seed=2,
-                          sigma_multiplier=10.0, max_iter=150)
+                          params=LjParams(sigma=10.0 * sigma_prime(100)), max_iter=150)
     outside = ((out < 0) | (out > 1)).any(axis=1).mean()
     assert outside >= 0.10
 
@@ -232,8 +232,6 @@ def test_bluenoise_validation():
         bluenoise_2d(np.zeros((3, 3)))  # 3D cloud
     with pytest.raises(ValueError):
         bluenoise_2d(0)
-    with pytest.raises(ValueError):
-        bluenoise_2d(10, schedule=Schedule(1.0, 0.0, kind="adaptive"))
     for tol in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be a finite number"):
             bluenoise_2d(10, tol=tol)
@@ -479,6 +477,32 @@ def test_embed_refine_validation():
     with pytest.raises(ValueError, match="requires at least 41 points"):
         embed_refine(refiner, cloud10, RefineWindow.disabled(5),
                      params=LjParams(sigma=1.0, k=40))
+
+
+def test_default_params_and_schedule_are_the_spelled_out_ones(sphere):
+    # sigma = sigma_prime(n) in the unit square and 5 * sigma_prime(n) on surfaces.  The
+    # inputs keep some nearest neighbors beyond sigma, where the force is not saturated,
+    # so a sigma 10 % off changes every run.
+    rng = np.random.default_rng(8)
+    cloud = rng.random((50, 2))
+    ring = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    cloud3 = np.r_[np.c_[0.02 * rng.standard_normal((92, 2)), np.ones(92)],    # a cap and a ring
+                   np.c_[0.6 * np.cos(ring), 0.6 * np.sin(ring), np.full(8, 0.8)]]
+    blob = 0.5 * rng.standard_normal((50, 3))
+    spelled = Schedule(0.5, 0.01)
+    for seed in (0, 1):
+        runs = [bluenoise_2d(cloud, seed=seed, max_iter=60),
+                bluenoise_2d(cloud, seed=seed, max_iter=60,
+                             params=LjParams(sigma=sigma_prime(50)), schedule=spelled),
+                redistribute_on_mesh(cloud3, sphere, seed=seed, max_iter=30),
+                redistribute_on_mesh(cloud3, sphere, seed=seed, max_iter=30,
+                                     params=LjParams(sigma=5.0 * sigma_prime(100)), schedule=spelled)]
+        for params in (None, LjParams(sigma=5.0 * sigma_prime(50))):
+            runs.append(embed_refine(SurfaceRefiner(seed=seed), blob, RefineWindow(8, 1, 8),
+                                     params=params, seed=seed))
+        for (a, rep_a), (b, rep_b) in zip(runs[::2], runs[1::2]):
+            assert a.tobytes() == b.tobytes()
+            assert json.dumps(rep_a.to_dict()) == json.dumps(rep_b.to_dict())
 
 
 def test_embed_config_window_and_params():
