@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EUCLIDEAN, get_metric
+from .metrics import EUCLIDEAN, as_cloud, get_metric
 from .neighbors import build_index, nearest_all
 
 __all__ = [
@@ -36,9 +36,9 @@ ANISOTROPY_FLOOR_DB = -100.0
 def distance_score(cloud, metric=EUCLIDEAN) -> float:
     """Mean distance from each point to its nearest neighbor."""
     metric = get_metric(metric)
-    x = np.asarray(cloud, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("distance_score needs at least 2 points")
+    x = as_cloud(cloud)
+    if x.shape[0] < 2:
+        raise ValueError(f"distance_score needs a cloud of at least 2 points, got {x.shape[0]}")
     nn = nearest_all(build_index(x, metric))
     return float(metric.distance(x, x.take(nn, axis=0)).mean())
 
@@ -61,11 +61,7 @@ def periodogram(cloud, fmax: int = 128):
     rows are powers of exp(-2 pi i x), and its grid lies within 1e-14 N of
     the single product's.
     """
-    x = np.asarray(cloud, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:
-        raise ValueError(f"periodogram expects a nonempty (n, 2) cloud, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("cloud contains non-finite coordinates")
+    x = as_cloud(cloud, (2,))
     if not (isinstance(fmax, (int, np.integer)) and fmax >= 1):
         raise ValueError(f"fmax must be an integer >= 1, got {fmax!r}")
     n, rows = x.shape[0], 2 * fmax + 1

@@ -163,8 +163,10 @@ def _cmd_sweep(args) -> int:
     base = _embed_config(args)
     rows = pipelines.run_sweep(args.axis, values, seeds, base)
     pipelines.write_sweep_csv(rows, args.out)
-    return _emit(args, values=values, seeds=seeds, seed=seeds[0], rows=len(rows),
-                 ss=base.start, tprime=base.stop)
+    run = pipelines.EmbedConfig.denoising() if args.axis == "alpha_denoise" else base
+    return _emit(args, values=values, seeds=seeds, seed=seeds[0], rows=len(rows), n=run.n,
+                 t=run.total, ss=run.start, tprime=run.stop, beta=run.beta,
+                 noise_decay=run.noise_decay)
 
 
 def _add_relax_flags(p, n_default: int, sigma_mult_default: float):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EUCLIDEAN, Metric, squared_norm
+from .metrics import EUCLIDEAN, Metric, as_cloud, squared_norm
 
 __all__ = [
     "COINCIDENT_TOL",
@@ -154,11 +154,7 @@ def lj_step(cloud, pairs, dt, params: LjParams, metric: Metric = EUCLIDEAN, rng=
     to the force is clamped.  Coincident pairs repel along a random unit
     direction drawn from rng (a fixed default generator when rng is None).
     """
-    x = np.asarray(cloud, dtype=float)
-    if x.ndim != 2 or x.shape[1] not in (2, 3):
-        raise ValueError(f"cloud must have shape (n, 2) or (n, 3), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("cloud contains non-finite coordinates")
+    x = as_cloud(cloud)
     pairs = np.asarray(pairs, dtype=np.intp)
     if pairs.ndim == 1:
         pairs = pairs[:, None]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import squared_norm
+from .metrics import as_cloud, squared_norm
 
 __all__ = [
     "TriangleMesh",
@@ -42,14 +42,10 @@ class TriangleMesh:
     face_normals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = as_cloud(self.vertices, (3,), "vertices")
         f = np.asarray(self.faces, dtype=np.intp)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"vertices must have shape (n, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3 or f.shape[0] < 1:
             raise ValueError(f"faces must have shape (m, 3) with m >= 1, got {f.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("vertices contain non-finite coordinates")
         if f.min() < 0 or f.max() >= v.shape[0]:
             raise ValueError("face indices out of range")
         v.setflags(write=False)
@@ -246,17 +242,6 @@ def _closest_on_triangles(a, b, c, p):
     return out
 
 
-def _as_queries(points):
-    q = np.asarray(points, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 3:
-        raise ValueError(f"query points must have shape (n, 3), got {q.shape}")
-    if q.shape[0] == 0:
-        raise ValueError("cannot project an empty cloud")
-    if not np.isfinite(q).all():
-        raise ValueError("query points contain non-finite coordinates")
-    return q
-
-
 _WIDTH = 12         # faces of the first centroid query, the table FaceCache keeps
 _TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 _TINY = 1e-12       # absolute slack for distances near zero
@@ -293,7 +278,7 @@ class MeshProjector:
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
-        q = _as_queries(points)
+        q = as_cloud(points, (3,), "query points")
         return self._best_of(q, self._candidates(q)[0])[:3]
 
     def _candidates(self, q):
@@ -392,7 +377,7 @@ class FaceCache:
     """
 
     def __init__(self, projector: MeshProjector, points):
-        q = _as_queries(points)
+        q = as_cloud(points, (3,), "query points")
         self.projector = projector
         self.requeries = 0
         self.face_tests = 0
@@ -411,7 +396,7 @@ class FaceCache:
     def project(self, rows, points):
         """Project `points`, the new positions of the cache rows `rows` (a 1-D
         integer array of row ids, one per point); returns (points, faces, distances)."""
-        q = _as_queries(points)
+        q = as_cloud(points, (3,), "query points")
         rows = np.asarray(rows)
         if rows.shape != (len(q),) or rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be a 1-D integer array with one id per point, got "
@@ -444,7 +429,4 @@ class FaceCache:
 
 def noise_score(cloud, mesh: TriangleMesh) -> float:
     """Mean distance from each point to its closest point on the mesh."""
-    q = np.asarray(cloud, dtype=float)
-    if q.size == 0:
-        raise ValueError("noise score of an empty cloud is undefined")
-    return float(MeshProjector(mesh).project(q)[2].mean())
+    return float(MeshProjector(mesh).project(cloud)[2].mean())

@@ -11,7 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric", "squared_norm"]
+__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric", "squared_norm", "as_cloud"]
+
+
+def as_cloud(points, dims=(2, 3), what="cloud points"):
+    """points as a float array of shape (n, d), d in dims, n >= 1, every coordinate
+    finite; the one check of every input cloud, its messages naming `what`."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] not in dims or x.shape[0] < 1:
+        raise ValueError(f"{what} must have shape (n, {' or '.join(map(str, dims))}) "
+                         f"with n >= 1, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contain non-finite coordinates")
+    return x
 
 
 def squared_norm(d):

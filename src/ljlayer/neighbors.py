@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import THREADS_CAP, THREADS_ERROR
-from .metrics import EUCLIDEAN, Metric, get_metric
+from .metrics import EUCLIDEAN, Metric, as_cloud, get_metric
 
 __all__ = [
     "SpatialIndex",
@@ -34,16 +34,10 @@ class SpatialIndex:
     in the metric's domain, which must not change while the index is in use."""
 
     def __init__(self, points, metric: Metric = EUCLIDEAN, *, wrapped: bool = False):
-        pts = np.asarray(points, dtype=float) if wrapped else np.array(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-            raise ValueError(f"cloud must have shape (n, 2) or (n, 3), got {pts.shape}")
-        if pts.shape[0] < 1:
-            raise ValueError("cannot index an empty cloud")
-        if not np.isfinite(pts).all():
-            raise ValueError("cloud contains non-finite coordinates")
+        pts = as_cloud(points)
         if metric.periodic and pts.shape[1] != 2:
             raise ValueError("periodic metric is defined for 2D clouds only")
-        pts = pts.view() if wrapped else metric.wrap(pts)     # the tree and _select score these
+        pts = pts.view() if wrapped else metric.wrap(pts.copy())  # the tree and _select score these
         pts.setflags(write=False)
         self.points = pts
         self.metric = metric

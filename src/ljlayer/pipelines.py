@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import Scores, distance_score, increment_report
 from .core import LjParams, Schedule, dt_adaptive, dt_exponential, lj_step
 from .geometry import FaceCache, MeshProjector, TriangleMesh
-from .metrics import EUCLIDEAN, PERIODIC_UNIT, squared_norm
+from .metrics import EUCLIDEAN, PERIODIC_UNIT, as_cloud, squared_norm
 from .neighbors import NeighborList, build_index, k_nearest_all
 
 __all__ = [
@@ -172,15 +172,6 @@ def sigma_prime(n: int) -> float:
     return math.sqrt(2.0 / (math.sqrt(3.0) * n))
 
 
-def _as_cloud(cloud, dim: int):
-    x = np.array(cloud, dtype=float, copy=True)
-    if x.ndim != 2 or x.shape[1] != dim or x.shape[0] < 1:
-        raise ValueError(f"initial cloud must have shape (n, {dim}), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("initial cloud contains non-finite coordinates")
-    return x
-
-
 def _check_stop(tol, max_iter):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -269,7 +260,7 @@ def bluenoise_2d(
             raise ValueError(f"point count must be >= 1, got {cloud_or_n}")
         cloud = rng.random((int(cloud_or_n), 2))
     else:
-        cloud = _as_cloud(cloud_or_n, 2)
+        cloud = as_cloud(cloud_or_n, (2,), "initial cloud points").copy()
     n = len(cloud)
     if n == 1:
         # no neighbor exists, nothing can move
@@ -309,7 +300,7 @@ def redistribute_on_mesh(
     keeps no noise trace (it is None).  Defaults as in bluenoise_2d, but with
     sigma = 5 * sigma_prime(n).  Returns (cloud, RunReport).
     """
-    x0 = _as_cloud(cloud0, 3)
+    x0 = as_cloud(cloud0, (3,), "initial cloud points")
     n = len(x0)
     if n < 2:
         raise ValueError("redistribute_on_mesh needs at least 2 points")
@@ -434,7 +425,7 @@ def embed_refine(
 
 def _embed_entry(refiner, cloud0, params, trace):
     """embed_refine's checks and defaults; returns the loop on entry and the LjParams."""
-    cloud = _as_cloud(cloud0, 3)
+    cloud = as_cloud(cloud0, (3,), "initial cloud points").copy()
     n = len(cloud)
     if n < 2:
         raise ValueError("embed_refine needs at least 2 points")
@@ -512,8 +503,6 @@ class EmbedConfig:
             raise ValueError(f"init_jitter must be finite, got {self.init_jitter}")
 
     def window(self) -> RefineWindow:
-        if self.start is None or self.stop is None:
-            return RefineWindow.disabled(self.total)
         return RefineWindow(self.total, self.start, self.stop)
 
     def lj_params(self) -> LjParams:

@@ -13,7 +13,8 @@ from ljlayer.analysis import distance_score
 from ljlayer.cli import build_parser, main
 from ljlayer.core import LjParams, Schedule
 from ljlayer.geometry import icosphere, load_obj, noise_score, normalize_mesh, save_obj
-from ljlayer.pipelines import Boundary, bluenoise_2d, redistribute_on_mesh, sigma_prime
+from ljlayer.pipelines import (Boundary, EmbedConfig, bluenoise_2d, redistribute_on_mesh,
+                               sigma_prime)
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +194,21 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("value,seed,")
 
 
+def test_alpha_denoise_sweep_reports_the_preset_it_runs(tmp_path, capsys):
+    # the axis runs EmbedConfig.denoising(), whatever the window and refiner flags say
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    s = summary_of(capsys, "sweep", "--axis", "alpha_denoise", "--values", "0.3", "--seeds", "1",
+                   "--n", "20", "--t", "20", "--out", str(a))
+    t = summary_of(capsys, "sweep", "--axis", "alpha_denoise", "--values", "0.3", "--seeds", "1",
+                   "--n", "100", "--t", "60", "--beta", "0.5", "--noise-decay", "0.5",
+                   "--out", str(b))
+    assert a.read_bytes() == b.read_bytes()
+    preset = EmbedConfig.denoising()
+    for summary in (s, t):
+        assert ([summary[key] for key in ("n", "t", "ss", "tprime", "beta", "noise_decay")]
+                == [100, 60, 36, 57, preset.beta, preset.noise_decay])
+
+
 @pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed", "analyze", "score",
                                      "sweep"])
 def test_summary_holds_every_parsed_flag(tmp_path, capsys, sphere_obj, command):
@@ -287,6 +303,24 @@ def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c.xyz"
     cloud.write_text("0 0 0\n1 1 1\n")
     assert main(["analyze", "--cloud", str(cloud)]) == 2  # needs 2D points
+
+
+@pytest.mark.parametrize("command, rows, message", [
+    ("score", "0 0\n", "distance_score needs a cloud of at least 2 points, got 1"),
+    ("analyze", "0 0 0\n1 1 1\n", "cloud points must have shape (n, 2) with n >= 1, got (2, 3)"),
+    ("bluenoise", "0 0 0\n1 1 1\n",
+     "initial cloud points must have shape (n, 2) with n >= 1, got (2, 3)"),
+    ("redistribute", "0 0\n1 1\n",
+     "initial cloud points must have shape (n, 3) with n >= 1, got (2, 2)"),
+], ids=["score", "analyze", "bluenoise", "redistribute"])
+def test_bad_cloud_files_exit_2_naming_the_cloud(tmp_path, capsys, sphere_obj, command, rows,
+                                                 message):
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text(rows)
+    mesh = ["--mesh", sphere_obj] if command == "redistribute" else []
+    assert main([command, "--cloud", str(cloud), *mesh]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err, err
 
 
 def test_extreme_cloud_coordinates_exit_2(tmp_path, capsys, sphere_obj):

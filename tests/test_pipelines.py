@@ -520,6 +520,13 @@ def test_embed_config_window_and_params():
         EmbedConfig(start=60, stop=101).window()
 
 
+@pytest.mark.parametrize("start, stop", [(None, 95), (60, None)])
+def test_a_half_set_embed_window_is_rejected(start, stop):
+    # not a refiner-only run: RefineWindow names the half-set window
+    with pytest.raises(ValueError, match="start and stop must be both set or both None"):
+        run_embedded(EmbedConfig(start=start, stop=stop, seed=1))
+
+
 def test_denoising_preset_overrides():
     cfg = EmbedConfig.denoising()
     assert cfg.total == 60 and (cfg.start, cfg.stop) == (36, 57)
