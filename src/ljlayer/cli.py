@@ -21,7 +21,6 @@ import numpy as np
 
 from . import THREADS_ERROR, analysis, geometry, pipelines
 from .core import LjParams, Schedule
-from .metrics import get_metric
 
 
 def _load_normalized_mesh(path) -> geometry.TriangleMesh:
@@ -103,7 +102,7 @@ def _cmd_embed(args) -> int:
     config = _embed_config(args)
     config.window()  # validate before any work
     if args.mesh:
-        surface = pipelines.MeshSurface(_load_normalized_mesh(args.mesh))
+        surface = geometry.MeshProjector(_load_normalized_mesh(args.mesh))
     else:
         surface = pipelines.UnitSphere()
     trace = bool(args.report)   # only the --report file reads the traces
@@ -148,7 +147,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_score(args) -> int:
     cloud = geometry.read_xyz(args.cloud)
     results = {"n": cloud.shape[0], "seed": None,
-               "distance_score": analysis.distance_score(cloud, get_metric(args.metric))}
+               "distance_score": analysis.distance_score(cloud, args.metric)}
     if args.mesh:
         results["noise_score"] = geometry.noise_score(cloud, _load_normalized_mesh(args.mesh))
     return _emit(args, **results)
@@ -164,9 +163,10 @@ def _cmd_sweep(args) -> int:
     rows = pipelines.run_sweep(args.axis, values, seeds, base)
     pipelines.write_sweep_csv(rows, args.out)
     run = pipelines.EmbedConfig.denoising() if args.axis == "alpha_denoise" else base
-    return _emit(args, values=values, seeds=seeds, seed=seeds[0], rows=len(rows), n=run.n,
-                 t=run.total, ss=run.start, tprime=run.stop, beta=run.beta,
-                 noise_decay=run.noise_decay)
+    results = dict(values=values, seeds=seeds, seed=seeds[0], rows=len(rows), n=run.n, t=run.total,
+                   ss=run.start, tprime=run.stop, beta=run.beta, noise_decay=run.noise_decay)
+    # no row ran the swept flag's own value; each row's value is in values
+    return _emit(args, **{**results, args.axis.removesuffix("_denoise"): None})
 
 
 def _add_relax_flags(p, n_default: int, sigma_mult_default: float):
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("sweep", help="paired embed runs across one parameter axis")
-    p.add_argument("--axis", choices=("ss", "alpha", "beta", "alpha_denoise"), required=True)
+    p.add_argument("--axis", choices=pipelines._SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", type=int, default=5, help="uses seeds 0..seeds-1")
     _add_embed_flags(p)
@@ -263,6 +263,8 @@ def main(argv=None) -> int:
     try:
         if THREADS_ERROR:
             raise ValueError(THREADS_ERROR)
+        if getattr(args, "seed", 0) < 0:    # numpy's rejection names neither flag nor value
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except OSError as exc:
         print(f"ljlayer: i/o error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import as_cloud, squared_norm
+from .metrics import TIE_GUARD, as_cloud, squared_norm
 
 __all__ = [
     "TriangleMesh",
@@ -40,6 +40,7 @@ class TriangleMesh:
     vertices: np.ndarray
     faces: np.ndarray
     face_normals: np.ndarray = field(init=False, repr=False)
+    face_areas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = as_cloud(self.vertices, (3,), "vertices")
@@ -56,16 +57,13 @@ class TriangleMesh:
         if np.any(norms <= 2.0 * DEGENERATE_AREA):
             raise ValueError("mesh contains degenerate (zero-area) faces")
         normals = cross / norms[:, None]
+        areas = 0.5 * norms
         normals.setflags(write=False)
+        areas.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         object.__setattr__(self, "face_normals", normals)
-
-    @property
-    def face_areas(self):
-        tri = self.vertices[self.faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        return 0.5 * np.sqrt(squared_norm(cross))
+        object.__setattr__(self, "face_areas", areas)
 
 
 def _numbers(convert, tokens, path, ln):
@@ -153,10 +151,7 @@ def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
     """
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
-    half = (hi - lo) / 2.0
-    scale = half.max()
-    if not scale > 0:
-        raise ValueError("mesh has zero spatial extent")
+    scale = ((hi - lo) / 2.0).max()
     return TriangleMesh((mesh.vertices - (lo + hi) / 2.0) / scale, mesh.faces)
 
 
@@ -243,7 +238,6 @@ def _closest_on_triangles(a, b, c, p):
 
 
 _WIDTH = 12         # faces of the first centroid query, the table FaceCache keeps
-_TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 _TINY = 1e-12       # absolute slack for distances near zero
 
 
@@ -252,7 +246,8 @@ class MeshProjector:
 
     The winner is the (distance, face index) minimum of a full scan, found
     among the faces within the pruning radius the README's "Mesh projection"
-    paragraph derives.  The projector keeps no query state.
+    paragraph derives.  The projector keeps no query state.  `closest` and
+    `distance` are `project`'s points and distances: the surface of a SurfaceRefiner.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -281,6 +276,12 @@ class MeshProjector:
         q = as_cloud(points, (3,), "query points")
         return self._best_of(q, self._candidates(q)[0])[:3]
 
+    def closest(self, points):
+        return self.project(points)[0]
+
+    def distance(self, points):
+        return self.project(points)[2]
+
     def _candidates(self, q):
         """Each query's candidate faces; returns (groups, cand, rho).
 
@@ -296,9 +297,9 @@ class MeshProjector:
         rows = np.arange(len(q))
         d, fid = self._centroid_tree.query(q, k=k)
         d, fid = d.reshape(len(q), k), fid.reshape(len(q), k)
-        r = (d[:, 0] + self._reach) * (1.0 + _TIE_GUARD) + _TINY
+        r = (d[:, 0] + self._reach) * (1.0 + TIE_GUARD) + _TINY
         cand = np.sort(fid, axis=1)
-        rho = d[:, -1] * (1.0 - _TIE_GUARD) if k < nf else np.full(len(q), np.inf)
+        rho = d[:, -1] * (1.0 - TIE_GUARD) if k < nf else np.full(len(q), np.inf)
         groups = []
         while True:
             if fid.max() >= nf:     # scipy's unreachable mark: squared distances overflowed
@@ -331,7 +332,7 @@ class MeshProjector:
         c2 = sum((c.take(cand) - x) ** 2 for c, x in zip(self._centroids, qj))
         seed_col = np.argmin(c2, axis=1)
         seed_cp, seed_d2 = self._exact(cand[rows, seed_col], q)
-        bound = np.sqrt(seed_d2) * (1.0 + _TIE_GUARD) + _TINY + self._miss
+        bound = np.sqrt(seed_d2) * (1.0 + TIE_GUARD) + _TINY + self._miss
         nx, ny, nz = (n.take(cand) for n in self._normals)
         plane = np.abs((0.0 + nx * qj[0]) + ny * qj[1] + nz * qj[2] - self._offsets.take(cand))
         keep = plane <= bound[:, None]
@@ -413,7 +414,7 @@ class FaceCache:
                                             self._cand.take(rows[live], axis=0))
         self.face_tests += tests
         ok = np.zeros(len(q), dtype=bool)
-        ok[live] = best[2] * (1.0 + _TIE_GUARD) + _TINY < room.take(live)
+        ok[live] = best[2] * (1.0 + TIE_GUARD) + _TINY < room.take(live)
         out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
         for o, b in zip(out, best):
             o[ok] = b[ok[live]]
@@ -429,4 +430,4 @@ class FaceCache:
 
 def noise_score(cloud, mesh: TriangleMesh) -> float:
     """Mean distance from each point to its closest point on the mesh."""
-    return float(MeshProjector(mesh).project(cloud)[2].mean())
+    return float(MeshProjector(mesh).distance(cloud).mean())

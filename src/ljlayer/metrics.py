@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "get_metric", "squared_norm", "as_cloud"]
+__all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "TIE_GUARD", "get_metric", "squared_norm",
+           "as_cloud"]
+
+TIE_GUARD = 1e-9    # relative slack g of every certificate, absorbing tree/re-score rounding
 
 
 def as_cloud(points, dims=(2, 3), what="cloud points"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import THREADS_CAP, THREADS_ERROR
-from .metrics import EUCLIDEAN, Metric, as_cloud, get_metric
+from .metrics import EUCLIDEAN, TIE_GUARD, Metric, as_cloud, get_metric
 
 __all__ = [
     "SpatialIndex",
@@ -23,7 +23,6 @@ __all__ = [
 
 _ALL_PAIRS = 128    # clouds up to this size score every pair: below it a tree costs more
 _EXTRA = 8          # candidates a wide query fetches beyond k+1
-_TIE_GUARD = 1e-9   # relative slack absorbing tree/re-score rounding differences
 _FAR = np.sqrt(np.finfo(float).max)     # the shortest distance whose square overflows
 _THREADED = 8192    # tree queries of this many rows or more run on two threads
 
@@ -105,7 +104,7 @@ def _select(metric: Metric, x, rows, cand, rho, k: int):
         d2k = flat.take(picks)
         flat[picks] = np.inf
     dk = np.sqrt(d2k)
-    ok = dk * (1.0 + _TIE_GUARD) < rho * (1.0 - _TIE_GUARD)
+    ok = dk * (1.0 + TIE_GUARD) < rho * (1.0 - TIE_GUARD)
     return (cols if shared else cand.take(starts[:, None] + cols)), dk, ok
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "RunReport",
     "EmbedConfig",
     "UnitSphere",
-    "MeshSurface",
     "SurfaceRefiner",
     "sigma_prime",
     "bluenoise_2d",
@@ -349,20 +348,6 @@ class UnitSphere:
         return np.abs(np.sqrt(squared_norm(x)) - 1.0)
 
 
-class MeshSurface:
-    """Triangle mesh wrapped in the same closest/distance interface."""
-
-    def __init__(self, mesh: TriangleMesh):
-        self.mesh = mesh
-        self._projector = MeshProjector(mesh)
-
-    def closest(self, points):
-        return self._projector.project(points)[0]
-
-    def distance(self, points):
-        return self._projector.project(points)[2]
-
-
 class SurfaceRefiner:
     """Toy iterative refiner: contract toward a surface, add decaying noise.
 
@@ -539,9 +524,7 @@ def _init_cloud(config: EmbedConfig):
     if config.init == "gauss":
         return 0.5 * rng.standard_normal((config.n, 3))
     g = rng.standard_normal((config.n, 3))
-    r = np.sqrt(squared_norm(g))[:, None]
-    r[r < 1e-12] = 1.0
-    return g / r + config.init_jitter * rng.standard_normal((config.n, 3))
+    return UnitSphere().closest(g) + config.init_jitter * rng.standard_normal((config.n, 3))
 
 
 def _refiner(config: EmbedConfig, surface) -> SurfaceRefiner:

@@ -1,20 +1,27 @@
 """Command-line interface: summaries, exit codes, artifacts."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ljlayer import geometry
 from ljlayer.analysis import distance_score
 from ljlayer.cli import build_parser, main
 from ljlayer.core import LjParams, Schedule
-from ljlayer.geometry import icosphere, load_obj, noise_score, normalize_mesh, save_obj
-from ljlayer.pipelines import (Boundary, EmbedConfig, bluenoise_2d, redistribute_on_mesh,
-                               sigma_prime)
+from ljlayer.geometry import (MeshProjector, icosphere, load_obj, noise_score, normalize_mesh,
+                              save_obj)
+from ljlayer.pipelines import (Boundary, EmbedConfig, RefineWindow, bluenoise_2d, embed_compare,
+                               redistribute_on_mesh, sigma_prime)
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +106,22 @@ def test_embed_compare_summary(capsys):
         assert key in s, key
     assert s["compare"] is True
     assert s["iterations"] == 30
+
+
+def test_embed_mesh_compare_equals_embed_compare_on_the_normalized_mesh(tmp_path, capsys,
+                                                                       sphere_obj):
+    out = tmp_path / "cli.xyz"
+    s = summary_of(capsys, "embed", "--mesh", sphere_obj, "--n", "30", "--t", "20", "--seed", "2",
+                   "--compare", "--out", str(out))
+    window = RefineWindow.default_window(20)
+    config = EmbedConfig(n=30, total=20, start=window.start, stop=window.stop, seed=2)
+    report, _, (cloud, run) = embed_compare(
+        config, surface=MeshProjector(normalize_mesh(load_obj(sphere_obj))))
+    scores = {k.removesuffix("_ljl"): v for k, v in asdict(report).items()}
+    assert {k: s[k] for k in scores} == scores
+    assert s["iterations"] == run.iterations
+    geometry.write_xyz(cloud, tmp_path / "lib.xyz")
+    assert out.read_bytes() == (tmp_path / "lib.xyz").read_bytes()
 
 
 def test_embed_zero_steps_reports_the_noise_score(capsys):
@@ -209,6 +232,18 @@ def test_alpha_denoise_sweep_reports_the_preset_it_runs(tmp_path, capsys):
                 == [100, 60, 36, 57, preset.beta, preset.noise_decay])
 
 
+@pytest.mark.parametrize("axis, values, swept", [
+    ("ss", "14,16", "ss"), ("alpha", "0.5,2.5", "alpha"), ("beta", "0.02", "beta"),
+    ("alpha_denoise", "0.5", "alpha")])
+def test_sweep_summary_nulls_the_swept_flag(tmp_path, capsys, axis, values, swept):
+    # each row ran its own value, listed in values; the flag's own value ran in none
+    s = summary_of(capsys, "sweep", "--axis", axis, "--values", values, "--seeds", "1",
+                   "--n", "20", "--t", "20", "--out", str(tmp_path / "s.csv"))
+    assert s[swept] is None
+    assert s["values"] == [float(v) for v in values.split(",")]
+    assert [key for key in ("ss", "tprime", "alpha", "beta") if s[key] is None] == [swept]
+
+
 @pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed", "analyze", "score",
                                      "sweep"])
 def test_summary_holds_every_parsed_flag(tmp_path, capsys, sphere_obj, command):
@@ -269,6 +304,14 @@ def test_negative_max_iter_exits_2(capsys, sphere_obj):
         assert "max_iter must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed"])
+def test_negative_seed_exits_2_naming_the_flag_and_value(capsys, sphere_obj, command):
+    mesh = ["--mesh", sphere_obj] if command == "redistribute" else []
+    assert main([command, *mesh, "--n", "20", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "got -1" in err and "Traceback" not in err, err
+
+
 def test_invalid_window_exits_2(capsys):
     assert main(["embed", "--t", "100", "--ss", "101", "--tprime", "101"]) == 2
 
@@ -297,6 +340,40 @@ def test_bad_sweep_values_exit_2_naming_the_flag_and_value(tmp_path, capsys, val
     assert code == 2 and "Traceback" not in err
     assert all(name in err for name in names), err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_argv(tmp_path_factory):
+    """Per command, a fast valid argv: a mesh and a 2D cloud on disk, 20 points, few steps."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_obj(icosphere(1), root / "sphere.obj")
+    geometry.write_xyz(np.random.default_rng(0).random((20, 2)), root / "c.xyz")
+    relax = ["--n", "20", "--max-iter", "3"]
+    return {"bluenoise": relax, "redistribute": ["--mesh", str(root / "sphere.obj"), *relax],
+            "embed": ["--n", "20", "--t", "10"], "analyze": ["--cloud", str(root / "c.xyz")],
+            "sweep": ["--axis", "alpha", "--values", "1", "--seeds", "1", "--n", "20", "--t", "10",
+                      "--out", str(root / "s.csv")]}
+
+
+def _numeric_flags():
+    """(command, flag) for every flag parsed by a type, and sweep's --values list."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command, p in sub.choices.items()
+            for action in p._actions if action.type is not None or action.dest == "values"]
+
+
+_FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "0", "-1", "2.5", "abc", ""]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(flag=st.sampled_from(_numeric_flags()), token=st.sampled_from(_FUZZ_TOKENS))
+def test_any_value_of_a_numeric_flag_exits_0_or_2_without_a_traceback(fuzz_argv, flag, token):
+    # no large integers: --n and --fmax allocate in proportion to their value
+    command, name = flag
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, *fuzz_argv[command], name, token])
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), (code, err.getvalue())
 
 
 def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):

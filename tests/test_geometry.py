@@ -81,6 +81,9 @@ def test_mesh_validation():
                      np.array([[0, 1, 2]]))
     with pytest.raises(ValueError):
         TriangleMesh(v[:, :2], np.array([[0, 1, 2]]))
+    for faces in (np.array([[0, 1, 2, 0]]), np.array([0, 1, 2]), np.empty((0, 3), dtype=int)):
+        with pytest.raises(ValueError, match=r"faces must have shape \(m, 3\) with m >= 1"):
+            TriangleMesh(v, faces)
 
 
 def test_mesh_arrays_are_frozen():
@@ -89,6 +92,8 @@ def test_mesh_arrays_are_frozen():
         m.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.faces[0, 0] = 0
+    with pytest.raises(ValueError):
+        m.face_areas[0] = 1.0
 
 
 def test_face_areas_of_unit_right_triangle():
@@ -675,6 +680,14 @@ def test_normalize_rejects_faces_the_scaling_makes_degenerate():
         normalize_mesh(m)
 
 
+@pytest.mark.parametrize("vertices", [np.zeros((3, 3)), np.full((3, 3), 5.0),
+                                      1e-200 * np.eye(3)], ids=["zero", "equal", "tiny"])
+def test_zero_area_meshes_are_rejected_before_normalization(vertices):
+    # no extent, or one whose face areas underflow: normalize_mesh never sees a zero scale
+    with pytest.raises(ValueError, match="degenerate"):
+        TriangleMesh(vertices, np.array([[0, 1, 2]]))
+
+
 def test_normalize_is_idempotent_for_unit_meshes():
     m = icosphere(1)
     out = normalize_mesh(m)
@@ -717,6 +730,9 @@ def test_obj_errors(tmp_path):
         load_obj(p)
     p.write_text("# nothing\n")
     with pytest.raises(ValueError):
+        load_obj(p)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n")
+    with pytest.raises(ValueError, match=":4: face needs at least 3 vertices"):
         load_obj(p)
 
 

@@ -16,7 +16,6 @@ from ljlayer.metrics import PERIODIC_UNIT
 from ljlayer.pipelines import (
     Boundary,
     EmbedConfig,
-    MeshSurface,
     RefineWindow,
     RunReport,
     SurfaceRefiner,
@@ -92,6 +91,8 @@ def test_refine_window_validation():
         RefineWindow(100, 60, None)  # half-set window
     with pytest.raises(ValueError):
         RefineWindow(-1, None, None)
+    with pytest.raises(ValueError, match="start and stop must be integers"):
+        RefineWindow(10, 1.5, 3)
 
 
 def test_refine_window_activity():
@@ -347,8 +348,8 @@ def test_unit_sphere_closest_and_distance():
                                [2.0, 0.5])
 
 
-def test_mesh_surface_wraps_projector(sphere):
-    surf = MeshSurface(sphere)
+def test_mesh_projector_closest_and_distance_index_project(sphere):
+    surf = MeshProjector(sphere)
     q = np.random.default_rng(2).uniform(-1.5, 1.5, (10, 3))
     proj = MeshProjector(sphere)
     np.testing.assert_array_equal(surf.closest(q), proj.project(q)[0])
@@ -401,8 +402,8 @@ def test_toy_refiner_default_run_converges():
 
 
 def test_toy_refiner_accepts_mesh_target(sphere):
-    refiner = SurfaceRefiner(MeshSurface(sphere), noise0=0.0, pull=1.0)
-    assert isinstance(refiner.surface, MeshSurface)
+    refiner = SurfaceRefiner(MeshProjector(sphere), noise0=0.0, pull=1.0)
+    assert isinstance(refiner.surface, MeshProjector)
     out = refiner.step(1, np.random.default_rng(1).uniform(-1, 1, (5, 3)))
     assert MeshProjector(sphere).project(out)[2].max() < 1e-9
 
@@ -549,14 +550,14 @@ def test_embed_compare_report_matches_runs():
 
 def test_embed_compare_accepts_mesh_surface(sphere):
     cfg = small_config(30, 30)
-    report, _, _ = embed_compare(cfg, surface=MeshSurface(sphere))
+    report, _, _ = embed_compare(cfg, surface=MeshProjector(sphere))
     assert np.isfinite(report.noise_score_ljl)
 
 
 def test_untraced_embed_compare_is_byte_equal():
     for cfg, surface in ((small_config(40, 30, seed=2), None),
                          (EmbedConfig.denoising(n=40, seed=1), None),
-                         (small_config(30, 20, seed=4), MeshSurface(normalize_mesh(icosphere(1))))):
+                         (small_config(30, 20, seed=4), MeshProjector(normalize_mesh(icosphere(1))))):
         traced = embed_compare(cfg, surface=surface)
         plain = embed_compare(cfg, surface=surface, trace=False)
         assert repr(plain[0]) == repr(traced[0])
@@ -585,7 +586,7 @@ def test_sweep_rows_equal_traced_compares():
             "noise_increment": report.noise_increment, "ratio": ratio})
 
 
-_TEST_MESH = MeshSurface(normalize_mesh(icosphere(1)))
+_TEST_MESH = MeshProjector(normalize_mesh(icosphere(1)))
 
 
 def _outcome(run):
