@@ -45,6 +45,8 @@ def _relax_command(args, n, pipeline, *inputs):
 
     Writes --out and --report; returns the cloud and the results the two share.
     """
+    if not 0 < args.sigma_mult < math.inf:      # named here, not as the sigma it scales
+        raise ValueError(f"--sigma-mult must be a finite number > 0, got {args.sigma_mult}")
     sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
     params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
     schedule = Schedule(alpha=args.alpha, beta=args.beta)
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"ljlayer: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # a size flag too large for this machine
+        print(f"ljlayer: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -109,10 +109,8 @@ def load_obj(path) -> TriangleMesh:
 
 def save_obj(mesh: TriangleMesh, path):
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        np.savetxt(fh, mesh.vertices, fmt="v %.9g %.9g %.9g")
+        np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
 
 
 def read_xyz(path):
@@ -138,10 +136,7 @@ def read_xyz(path):
 
 
 def write_xyz(points, path):
-    points = np.asarray(points, dtype=float)
-    with open(path, "w") as fh:
-        for row in points:
-            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+    np.savetxt(path, np.asarray(points, dtype=float), fmt="%.9g")
 
 
 def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
@@ -241,13 +236,20 @@ _WIDTH = 12         # faces of the first centroid query, the table FaceCache kee
 _TINY = 1e-12       # absolute slack for distances near zero
 
 
+def _certified(u, room):
+    """Where a winner no farther than u is exact, ties included, given that every
+    face outside the row's table lies farther than room."""
+    return u * (1.0 + TIE_GUARD) + _TINY < room
+
+
 class MeshProjector:
     """Reusable batched closest-point queries against one mesh.
 
-    The winner is the (distance, face index) minimum of a full scan, found
-    among the faces within the pruning radius the README's "Mesh projection"
-    paragraph derives.  The projector keeps no query state.  `closest` and
-    `distance` are `project`'s points and distances: the surface of a SurfaceRefiner.
+    The winner is the (distance, face index) minimum of a full scan, found in
+    a table of nearest-centroid faces wide enough for the certificate of the
+    README's "Mesh projection" section.  The projector keeps no query state.
+    `closest` and `distance` are `project`'s points and distances: the surface
+    of a SurfaceRefiner.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -262,19 +264,15 @@ class MeshProjector:
         self._reach = float(np.sqrt(squared_norm(tri - centroids[:, None, :])).max())
         self._centroid_tree = cKDTree(centroids)
         normals = mesh.face_normals
-        offsets = _dot(normals, self._a)
-        self._miss = float(max(np.abs(_dot(normals, v) - offsets).max()
+        self._offsets = _dot(normals, self._a)
+        self._miss = float(max(np.abs(_dot(normals, v) - self._offsets).max()
                                for v in (self._b, self._c)))
-        # one coordinate per row; pad face n_faces has an infinite centroid and
-        # offset and a zero normal, so pad columns read infinite distance and bound
-        self._centroids = np.vstack([centroids, np.full(3, np.inf)]).T.copy()
-        self._normals = np.vstack([normals, np.zeros(3)]).T.copy()
-        self._offsets = np.append(offsets, np.inf)
+        self._centroids = centroids.T.copy()    # one coordinate per row
+        self._normals = normals.T.copy()
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
-        q = as_cloud(points, (3,), "query points")
-        return self._best_of(q, self._candidates(q)[0])[:3]
+        return self._fresh(as_cloud(points, (3,), "query points"))[:3]
 
     def closest(self, points):
         return self.project(points)[0]
@@ -282,36 +280,41 @@ class MeshProjector:
     def distance(self, points):
         return self.project(points)[2]
 
-    def _candidates(self, q):
-        """Each query's candidate faces; returns (groups, cand, rho).
+    def _query(self, q, k):
+        """Each row's k nearest-centroid faces, ascending by id; returns (cand, rho, near).
 
-        groups is a list of (rows, faces) that holds each row exactly once,
-        with all of its faces whose centroid lies within its pruning radius,
-        ascending by id and padded with n_faces.  cand holds each row's _WIDTH
-        nearest-centroid faces, unmasked and ascending by id, and rho is
-        d_W(1 - g), the W-th centroid distance (inf when cand holds every
-        face): every face outside cand has its centroid at least rho away.
+        Every face outside cand has its centroid at least rho = d_k(1 - g) from
+        the row (inf when cand holds every face), so it lies farther than
+        rho - reach.  near is the nearest centroid's distance, which bounds the
+        winner's from above: that centroid lies on its face.
         """
-        nf = self.n_faces
-        k = min(_WIDTH, nf)
-        rows = np.arange(len(q))
         d, fid = self._centroid_tree.query(q, k=k)
         d, fid = d.reshape(len(q), k), fid.reshape(len(q), k)
-        r = (d[:, 0] + self._reach) * (1.0 + TIE_GUARD) + _TINY
-        cand = np.sort(fid, axis=1)
-        rho = d[:, -1] * (1.0 - TIE_GUARD) if k < nf else np.full(len(q), np.inf)
-        groups = []
-        while True:
-            if fid.max() >= nf:     # scipy's unreachable mark: squared distances overflowed
-                raise ValueError("projection query failed; coordinates are too extreme")
-            inside = d <= r.take(rows)[:, None]
-            wide = inside[:, -1] & (k < nf)
-            groups.append((rows[~wide], np.sort(np.where(inside, fid, nf)[~wide], axis=1)))
-            if not wide.any():
-                return groups, cand, rho
-            rows = rows[wide]
-            k = min(2 * k, nf)
-            d, fid = self._centroid_tree.query(q.take(rows, axis=0), k=k)
+        if fid.max() >= self.n_faces:   # scipy's unreachable mark: squared distances overflowed
+            raise ValueError("projection query failed; coordinates are too extreme")
+        rho = d[:, -1] * (1.0 - TIE_GUARD) if k < self.n_faces else np.full(len(q), np.inf)
+        return np.sort(fid, axis=1), rho, d[:, 0].copy()    # a view would keep all of d
+
+    def _fresh(self, q):
+        """Exact projection of every row: (points, faces, distances, tests, cand, rho).
+
+        A row is scored once, on the first table of the widening sequence (12
+        faces, then twice as many each time) that its nearest centroid
+        certifies; cand and rho are the first table's, which FaceCache keeps.
+        """
+        out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
+        rows, k, tests, first = np.arange(len(q)), min(_WIDTH, self.n_faces), 0, None
+        while rows.size:
+            cand, rho, near = self._query(q.take(rows, axis=0), k)
+            first = first or (cand, rho)
+            ok = _certified(near, rho - self._reach)
+            done, cand = rows[ok], cand[ok]     # drops an unfiltered wide table before _best
+            *best, more = self._best(q.take(done, axis=0), cand)
+            for o, b in zip(out, best):
+                o[done] = b
+            tests += more
+            rows, k = rows[~ok], min(2 * k, self.n_faces)
+        return (*out, tests, *first)
 
     def _best(self, q, cand):
         """Closest point of each row's candidate faces: (points, faces, distances, tests).
@@ -323,9 +326,9 @@ class MeshProjector:
         faces, up to about 1e-10 on skinny ones).  A face whose plane lies
         beyond u, with that slack and the tie guards, can neither win nor tie,
         so only the seed and the faces it keeps get the exact test; tests
-        counts them.  Rows ascend by face id with the pads last, so argmin's
-        first minimum over the tested columns is the (distance, face id)
-        winner of a scan over them all.
+        counts them.  Rows ascend by face id, so argmin's first minimum over
+        the tested columns is the (distance, face id) winner of a scan over
+        them all.
         """
         rows = np.arange(len(q))
         qj = [q[:, j, None] for j in range(3)]
@@ -353,28 +356,18 @@ class MeshProjector:
                                    self._c.take(fid, axis=0), p)
         return cp, squared_norm(p - cp)
 
-    def _best_of(self, q, groups):
-        """_best of each group's rows against that group's faces, in one result."""
-        out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
-        tests = 0
-        for rows, cand in groups:
-            *best, more = self._best(q.take(rows, axis=0), cand)
-            for o, b in zip(out, best):
-                o[rows] = b
-            tests += more
-        return (*out, tests)
-
 
 class FaceCache:
     """Exact projections of moving points from the faces of their last query.
 
     `FaceCache(projector, points)` projects points fresh and keeps, per row,
-    the query point q0 and the `cand` and `rho` of `MeshProjector._candidates`;
-    `entry` is that projection.  `project(rows, q)` returns what
-    `projector.project(q)` returns, bit for bit: a row whose best face in cand
-    lies, with the tie guard, below rho - reach - |q - q0| is exact, and other
-    rows are queried fresh.  `requeries` counts those, and `face_tests` the
-    exact triangle tests of every `project` call.
+    the query point q0 and the first table `cand` and its `rho` from
+    `MeshProjector._fresh`; `entry` is that projection.  `project(rows, q)`
+    returns what `projector.project(q)` returns, bit for bit: every face
+    outside cand lies farther than rho - reach - |q - q0|, so the projector's
+    certificate holds for a row whose best face in cand lies below that, and
+    other rows are queried fresh.  `requeries` counts those, and `face_tests`
+    the exact triangle tests of every `project` call.
     """
 
     def __init__(self, projector: MeshProjector, points):
@@ -382,17 +375,9 @@ class FaceCache:
         self.projector = projector
         self.requeries = 0
         self.face_tests = 0
-        self._q0 = np.empty_like(q)
-        self._cand = np.empty((len(q), min(_WIDTH, projector.n_faces)), dtype=np.intp)
-        self._rho = np.empty(len(q))
-        self.entry = self._fresh(np.arange(len(q)), q)[:3]
-
-    def _fresh(self, rows, q):
-        groups, cand, rho = self.projector._candidates(q)
-        self._q0[rows] = q
-        self._cand[rows] = cand
-        self._rho[rows] = rho
-        return self.projector._best_of(q, groups)
+        *entry, _, self._cand, self._rho = projector._fresh(q)
+        self.entry = tuple(entry)
+        self._q0 = q.copy()
 
     def project(self, rows, points):
         """Project `points`, the new positions of the cache rows `rows` (a 1-D
@@ -414,14 +399,16 @@ class FaceCache:
                                             self._cand.take(rows[live], axis=0))
         self.face_tests += tests
         ok = np.zeros(len(q), dtype=bool)
-        ok[live] = best[2] * (1.0 + TIE_GUARD) + _TINY < room.take(live)
+        ok[live] = _certified(best[2], room.take(live))
         out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
         for o, b in zip(out, best):
             o[ok] = b[ok[live]]
         bad = np.flatnonzero(~ok)
         if bad.size:
             self.requeries += bad.size
-            *fresh, tests = self._fresh(rows[bad], q.take(bad, axis=0))
+            fresh_q = q.take(bad, axis=0)
+            *fresh, tests, cand, rho = self.projector._fresh(fresh_q)
+            self._q0[rows[bad]], self._cand[rows[bad]], self._rho[rows[bad]] = fresh_q, cand, rho
             self.face_tests += tests
             for o, b in zip(out, fresh):
                 o[bad] = b

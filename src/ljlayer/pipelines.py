@@ -486,6 +486,9 @@ class EmbedConfig:
             raise ValueError(f"init must be 'gauss' or 'noisy_surface', got {self.init!r}")
         if not math.isfinite(self.init_jitter):
             raise ValueError(f"init_jitter must be finite, got {self.init_jitter}")
+        if not 0 < self.sigma_multiplier < math.inf:
+            raise ValueError(f"sigma_multiplier must be a finite number > 0, "
+                             f"got {self.sigma_multiplier}")
 
     def window(self) -> RefineWindow:
         return RefineWindow(self.total, self.start, self.stop)

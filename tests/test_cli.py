@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ljlayer import geometry
+from ljlayer import geometry, pipelines
 from ljlayer.analysis import distance_score
 from ljlayer.cli import build_parser, main
 from ljlayer.core import LjParams, Schedule
@@ -374,6 +374,30 @@ def test_any_value_of_a_numeric_flag_exits_0_or_2_without_a_traceback(fuzz_argv,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, *fuzz_argv[command], name, token])
     assert code in (0, 2) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    if name == "--sigma-mult" and code:     # named as given, not as the sigma it scales
+        assert "sigma-mult" in err.getvalue() or "sigma_multiplier" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed"])
+def test_nonpositive_sigma_mult_exits_2_naming_the_flag_and_value(capsys, sphere_obj, command):
+    mesh = ["--mesh", sphere_obj] if command == "redistribute" else []
+    for value in ("-1", "0"):
+        assert main([command, *mesh, "--n", "20", "--sigma-mult", value]) == 2
+        err = capsys.readouterr().err
+        name = "sigma_multiplier" if command == "embed" else "--sigma-mult"
+        assert f"{name} must be a finite number > 0, got {float(value)}" in err, err
+
+
+def test_memory_error_exits_2_with_one_line_and_no_traceback(monkeypatch, capsys):
+    # stands in for an allocation too large for the machine, such as --n 100000000000
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (100000000000, 2)")
+
+    monkeypatch.setattr(pipelines, "bluenoise_2d", exhausted)
+    assert main(["bluenoise", "--n", "100000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("ljlayer: out of memory: Unable to allocate 1.46 TiB for an "
+                                 "array with shape (100000000000, 2)\n")
 
 
 def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):

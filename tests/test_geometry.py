@@ -13,6 +13,7 @@ from ljlayer.geometry import (
     FaceCache,
     MeshProjector,
     TriangleMesh,
+    _certified,
     _closest_on_triangles,
     _dot,
     icosphere,
@@ -162,21 +163,23 @@ def test_projection_matches_reference_scan():
     assert decisive.sum() >= len(q) * 0.7
 
 
+def certified_at(proj, q, k):
+    """Rows that the table of their k nearest centroids certifies, before any scoring."""
+    _, rho, near = proj._query(q, k)
+    return _certified(near, rho - proj._reach)
+
+
 def test_pruned_projection_equals_full_scan_bitwise():
     # same arithmetic with pruning disabled must give identical output,
     # including ties resolved by face index.  Queries far out or deep inside
-    # have more candidate faces than the first table holds and are re-queried
-    # wider; at the center of icosphere(3) every one of the 1280 faces is a
-    # candidate.
+    # are not certified by the first table and are re-queried wider; the
+    # center of icosphere(3) is certified only by the table of all 1280 faces.
     rng = np.random.default_rng(5)
     q2 = np.vstack([rng.uniform(-2, 2, (30, 3)), rng.uniform(-0.1, 0.1, (5, 3))])
     q2 = np.vstack([q2, rng.uniform(-3, 3, (20, 3))])
     for mesh, q in ((icosphere(2), q2), (icosphere(3), np.zeros((1, 3)))):
         proj = MeshProjector(mesh)
-        groups, _, _ = proj._candidates(q)
-        assert len(groups) > 1                     # the widening path ran
-        every = np.concatenate([rows for rows, _ in groups])
-        np.testing.assert_array_equal(np.sort(every), np.arange(len(q)))   # once each
+        assert not certified_at(proj, q, 12).all()       # the widening path ran
         pts, fids, dists = proj.project(q)
         tri = mesh.vertices[mesh.faces]
         nf = len(mesh.faces)
@@ -195,7 +198,8 @@ def test_pruned_projection_equals_full_scan_bitwise():
         np.testing.assert_allclose(dists, ref_dists, atol=1e-9)
         same = fids == ref_fids
         np.testing.assert_allclose(pts[same], ref_pts[same], atol=1e-9)
-    assert groups[-1][1].shape[1] == nf and (groups[-1][1] < nf).all()
+    assert not any(certified_at(proj, q, k)[0] for k in (12, 24, 48, 96, 192, 384, 768))
+    assert certified_at(proj, q, nf)[0]
 
 
 _COORDS = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from([0.0, -0.0, 5e-324])
@@ -367,8 +371,8 @@ def test_face_cache_matches_a_fresh_projection_after_drifts(mesh, kind, n, scale
     # rows outgrow the first table; "ridge" keeps x = 0, so the tent's two
     # roof faces tie exactly; drifts near the size of a face leave the
     # certified region of some rows and not of others.  In the last example
-    # one certified row's winner has its centroid beyond the pruning radius
-    # of where the row started, but within its 12-face table
+    # one certified row's winner has its centroid farther from where the row
+    # started than the nearest centroid plus reach, but within its 12-face table
     m = {"sphere": SPHERE, "tent": TENT, "triangle": TRIANGLE, "slab": SLAB}[mesh]
     proj = MeshProjector(m)
     rng = np.random.default_rng(seed)
@@ -437,10 +441,9 @@ def test_plane_slack_covers_skinny_faces():
 
 
 def unpruned_best(proj, q, cand):
-    """Every real candidate column through the exact test; the (distance, id) winner."""
+    """Every candidate column through the exact test; the (distance, id) winner."""
     out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
-    for i, (p, row) in enumerate(zip(q, cand)):
-        ids = row[row < proj.n_faces]
+    for i, (p, ids) in enumerate(zip(q, cand)):
         cp = _closest_on_triangles(proj._a[ids], proj._b[ids], proj._c[ids],
                                    np.broadcast_to(p, (len(ids), 3)))
         d2 = squared_norm(p - cp)
@@ -462,8 +465,8 @@ def unpruned_best(proj, q, cand):
 def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n, seed):
     # "surface" moves projected points by scale in a random direction and
     # "inside" starts near the bounding box's center, where rows outgrow the
-    # first table; "far" lies 1e3 to 1e6 out.  Each row is scored against its
-    # masked group and against its unmasked first table.  cached scores the
+    # first table; "far" lies 1e3 to 1e6 out.  Each row is scored against the
+    # table of every width its query may reach, 12 faces up to all.  cached scores the
     # moved points against the candidates of where they started, as FaceCache
     # does, so the seed need not be near them; ridge puts x = 0, where the
     # tent's roof faces tie exactly, and so do the lean roof's.  On the fan,
@@ -484,12 +487,12 @@ def test_pruned_best_equals_an_unpruned_scan(mesh, kind, scale, ridge, cached, n
         q0 = q = direction * 10.0 ** rng.uniform(3, 6, (n, 1))
     if ridge:
         q[:, 0] = 0.0
-    groups, table, _ = proj._candidates(q0 if cached else q)
-    for rows, cand in groups + [(np.arange(n), table)]:
-        got = proj._best(q.take(rows, axis=0), cand)
-        for g, w in zip(got, unpruned_best(proj, q.take(rows, axis=0), cand)):
+    for k in sorted({min(12 * 2 ** i, proj.n_faces) for i in range(6)}):
+        cand = proj._query(q0 if cached else q, k)[0]
+        got = proj._best(q, cand)
+        for g, w in zip(got, unpruned_best(proj, q, cand)):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-        assert len(rows) <= got[3] <= (cand < proj.n_faces).sum()
+        assert n <= got[3] <= cand.size
 
 
 def test_plane_bound_prunes_most_candidates():
@@ -500,9 +503,9 @@ def test_plane_bound_prunes_most_candidates():
     q0 = proj.project(rng.uniform(-1, 1, (2000, 3)))[0]
     step = rng.standard_normal(q0.shape)
     q = q0 + 1e-3 * step / np.linalg.norm(step, axis=1)[:, None]
-    _, cand, _ = proj._candidates(q0)
+    cand = proj._query(q0, 12)[0]
     tests = proj._best(q, cand)[3]
-    assert tests < 2 * len(q) and cand.shape == (len(q), 12) and (cand < proj.n_faces).all()
+    assert tests < 2 * len(q) and cand.shape == (len(q), 12)
 
 
 def test_face_tests_count_one_per_scored_row_on_one_face():
@@ -552,7 +555,7 @@ def test_rho_bounds_every_centroid_outside_the_table():
         tri = np.array([base[:, p] * s for p in itertools.permutations(range(3))
                         for s in itertools.product((1.0, -1.0), repeat=3)])
         mesh = TriangleMesh(tri.reshape(-1, 3), np.arange(3 * len(tri)).reshape(-1, 3))
-        _, cand, rho = MeshProjector(mesh)._candidates(np.zeros((1, 3)))
+        *_, cand, rho = MeshProjector(mesh)._fresh(np.zeros((1, 3)))    # what FaceCache keeps
         outside = np.setdiff1d(np.arange(len(tri)), cand[0])
         assert len(outside) == 36
         for c in tri.mean(axis=1)[outside]:
@@ -560,20 +563,24 @@ def test_rho_bounds_every_centroid_outside_the_table():
 
 
 def test_wide_rows_are_scored_once_against_their_final_candidates():
-    # a deep-inside query outgrows the first table and is re-queried wider;
-    # it sits only in its last group, the on-surface rows only in the first,
-    # each is scored once, and the result is a full scan's
+    # a deep-inside query is not certified by the first table and is
+    # re-queried wider until one certifies it; the on-surface rows are
+    # certified by the first.  Each row is scored once, on its final table,
+    # and the result is a full scan's
     proj = MeshProjector(icosphere(3))
     rng = np.random.default_rng(8)
     q = np.vstack([proj.project(rng.uniform(-1, 1, (20, 3)))[0], [[0.01, -0.02, 0.03]]])
-    groups, _, _ = proj._candidates(q)
-    assert len(groups) > 1 and groups[0][0].tolist() == list(range(20))
-    assert groups[-1][0].tolist() == [20] and all(rows.size == 0 for rows, _ in groups[1:-1])
-    *got, tests = proj._best_of(q, groups)
+    first = certified_at(proj, q, 12)
+    assert first[:20].all() and not first[20]
+    k = 24
+    while not certified_at(proj, q[20:], k)[0]:
+        k = min(2 * k, proj.n_faces)
+    *got, tests, _, _ = proj._fresh(q)
     every = np.broadcast_to(np.arange(proj.n_faces), (len(q), proj.n_faces))
     for g, w in zip(got, unpruned_best(proj, q, every)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    final = proj._best(q[:20], groups[0][1][:20])[3] + proj._best(q[20:], groups[-1][1])[3]
+    final = (proj._best(q[:20], proj._query(q[:20], 12)[0])[3]
+             + proj._best(q[20:], proj._query(q[20:], k)[0])[3])
     assert tests == final
 
 

@@ -517,6 +517,9 @@ def test_embed_config_window_and_params():
         EmbedConfig(init="lattice")
     with pytest.raises(ValueError, match="init_jitter must be finite"):
         EmbedConfig(init_jitter=np.nan)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"sigma_multiplier must be .*, got {bad}"):
+            EmbedConfig(sigma_multiplier=bad)
     with pytest.raises(ValueError):
         EmbedConfig(start=60, stop=101).window()
 
