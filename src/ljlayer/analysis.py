@@ -9,11 +9,13 @@ zero-variance annuli stay finite in serialized output.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EUCLIDEAN, as_cloud, get_metric
+from .metrics import EUCLIDEAN, as_cloud, as_number, get_metric
 from .neighbors import build_index, nearest_all
 
 __all__ = [
@@ -47,6 +49,16 @@ _CHUNK = 8192      # N0: points per chunk; a cloud of at most N0 points is one e
 _RESTART = 32      # powers of w between fresh np.exp rows in a multi-chunk cloud
 
 
+def _fmax_limit() -> int:
+    """The largest F whose (2F+1)^2 complex grid fits in physical memory, or, where
+    the system does not tell its memory, the largest that numpy can index."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or not these names
+        size = -1
+    return (math.isqrt((size if size > 0 else np.iinfo(np.intp).max) // 16) - 1) // 2
+
+
 def periodogram(cloud, fmax: int = 128):
     """Periodogram |sum_j exp(-2 pi i f.x_j)|^2 / N on the integer lattice.
 
@@ -59,11 +71,11 @@ def periodogram(cloud, fmax: int = 128):
     buffers, so memory does not grow with N (README, "CLI").  A cloud of at
     most N0 points is one chunk: the exact single product.  A larger cloud's
     rows are powers of exp(-2 pi i x), and its grid lies within 1e-14 N of
-    the single product's.
+    the single product's.  fmax must lie in [1, F_max], where F_max is the
+    largest F whose (2F+1)^2 complex grid fits in physical memory.
     """
     x = as_cloud(cloud, (2,))
-    if not (isinstance(fmax, (int, np.integer)) and fmax >= 1):
-        raise ValueError(f"fmax must be an integer >= 1, got {fmax!r}")
+    fmax = as_number(fmax, "fmax", 1, _fmax_limit(), integer=True)
     n, rows = x.shape[0], 2 * fmax + 1
     freqs = np.arange(-fmax, fmax + 1)
     build = _exp_rows if n <= _CHUNK else _power_rows

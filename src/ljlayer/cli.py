@@ -21,6 +21,7 @@ import numpy as np
 
 from . import THREADS_ERROR, analysis, geometry, pipelines
 from .core import LjParams, Schedule
+from .metrics import as_number
 
 
 def _load_normalized_mesh(path) -> geometry.TriangleMesh:
@@ -45,8 +46,7 @@ def _relax_command(args, n, pipeline, *inputs):
 
     Writes --out and --report; returns the cloud and the results the two share.
     """
-    if not 0 < args.sigma_mult < math.inf:      # named here, not as the sigma it scales
-        raise ValueError(f"--sigma-mult must be a finite number > 0, got {args.sigma_mult}")
+    as_number(args.sigma_mult, "--sigma-mult", 0, above=True)  # not as the sigma it scales
     sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
     params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
     schedule = Schedule(alpha=args.alpha, beta=args.beta)
@@ -265,8 +265,8 @@ def main(argv=None) -> int:
     try:
         if THREADS_ERROR:
             raise ValueError(THREADS_ERROR)
-        if getattr(args, "seed", 0) < 0:    # numpy's rejection names neither flag nor value
-            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+        # numpy's rejection of a negative seed names neither flag nor value
+        as_number(getattr(args, "seed", 0), "--seed", 0, integer=True)
         return args.func(args)
     except OSError as exc:
         print(f"ljlayer: i/o error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EUCLIDEAN, Metric, as_cloud, squared_norm
+from .metrics import EUCLIDEAN, Metric, as_cloud, as_number, squared_norm
 
 __all__ = [
     "COINCIDENT_TOL",
@@ -54,13 +54,9 @@ class LjParams:
     k: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a finite number > 0, got {self.sigma}")
-        if not (float(self.k).is_integer() and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))   # 2.0 would break slicing downstream
+        as_number(self.epsilon, "epsilon", 0, above=True)
+        as_number(self.sigma, "sigma", 0, above=True)
+        object.__setattr__(self, "k", as_number(self.k, "k", 1, integer=True))
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,8 @@ class Schedule:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be a finite number >= 0, got {self.beta}")
+        as_number(self.alpha, "alpha", 0)
+        as_number(self.beta, "beta", 0)
 
 
 def _as_positive_r(r):
@@ -125,10 +119,8 @@ def dt_adaptive(i, max_disp, schedule: Schedule):
     i is the 1-based iteration index; max_disp is the largest per-point
     displacement between the two most recent refiner outputs.
     """
-    if int(i) != i or i < 1:
-        raise ValueError(f"iteration index must be an integer >= 1, got {i}")
-    if max_disp < 0:
-        raise ValueError(f"max_disp must be >= 0, got {max_disp}")
+    i = as_number(i, "i", 1, integer=True)
+    max_disp = as_number(max_disp, "max_disp", 0)
     return (schedule.alpha / i) * max_disp * float(np.exp(-schedule.beta * i))
 
 
@@ -162,8 +154,7 @@ def lj_step(cloud, pairs, dt, params: LjParams, metric: Metric = EUCLIDEAN, rng=
         raise ValueError(f"pairs must assign partners to every point, got shape {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= x.shape[0]):
         raise ValueError("pairs contains out-of-range point indices")
-    if not (np.isfinite(dt) and dt >= 0):
-        raise ValueError(f"dt must be a finite number >= 0, got {dt}")
+    dt = as_number(dt, "dt", 0)
 
     diff = metric.delta(x[:, None, :] - x.take(pairs, axis=0))  # (n, k, d)
     r_raw = np.sqrt(squared_norm(diff))                    # (n, k)

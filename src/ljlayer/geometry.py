@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import TIE_GUARD, as_cloud, squared_norm
+from .metrics import TIE_GUARD, as_cloud, as_number, squared_norm
 
 __all__ = [
     "TriangleMesh",
@@ -166,8 +166,7 @@ _ICO_FACES = [
 
 def icosphere(subdivisions: int = 2) -> TriangleMesh:
     """Unit sphere obtained by subdividing an icosahedron (20 * 4**s faces)."""
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    subdivisions = as_number(subdivisions, "subdivisions", 0, integer=True)
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = list(_ICO_FACES)
     for _ in range(subdivisions):

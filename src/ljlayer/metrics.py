@@ -7,12 +7,13 @@ square are identified).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Metric", "EUCLIDEAN", "PERIODIC_UNIT", "TIE_GUARD", "get_metric", "squared_norm",
-           "as_cloud"]
+           "as_cloud", "as_number"]
 
 TIE_GUARD = 1e-9    # relative slack g of every certificate, absorbing tree/re-score rounding
 
@@ -27,6 +28,31 @@ def as_cloud(points, dims=(2, 3), what="cloud points"):
     if not np.isfinite(x).all():
         raise ValueError(f"{what} contain non-finite coordinates")
     return x
+
+
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def as_number(value, name, lo=-math.inf, hi=math.inf, *, integer=False, above=False):
+    """value as a float, or an int when integer; the one check of every scalar setting.
+
+    It takes an int, a float or a numpy number, never a bool (an integer setting an
+    int or a numpy integer only), whose float is finite and in [lo, hi], or in
+    (lo, hi] when above.  The ValueError names the setting, the rule and the value.
+    """
+    if isinstance(value, _INTEGERS if integer else _NUMBERS) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:   # an int beyond every float is not finite
+            x = math.nan
+        v = int(value) if integer else x    # an int compares with the bounds exactly
+        if math.isfinite(x) and (lo < v if above else lo <= v) and v <= hi:
+            return v
+    bound = (f" in {'(' if above else '['}{lo}, {hi}]" if hi < math.inf else
+             f" {'>' if above else '>='} {lo}" if lo > -math.inf else "")
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{bound}, "
+                     f"got {value!r}")
 
 
 def squared_norm(d):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import THREADS_CAP, THREADS_ERROR
-from .metrics import EUCLIDEAN, TIE_GUARD, Metric, as_cloud, get_metric
+from .metrics import EUCLIDEAN, TIE_GUARD, Metric, as_cloud, as_number, get_metric
 
 __all__ = [
     "SpatialIndex",
@@ -124,9 +124,7 @@ def _k_nearest(index: SpatialIndex, k, extra: int = _EXTRA, rows=None):
     member's k nearest.
     """
     n = index.n
-    if not (float(k).is_integer() and 1 <= k <= n - 1):
-        raise ValueError(f"k must be an integer in [1, {n - 1}], got {k}")
-    k = int(k)
+    k = as_number(k, "k", 1, n - 1, integer=True)
     x = index.points
     rows = np.arange(n) if rows is None else rows
     if index._tree is None:
@@ -187,10 +185,8 @@ class NeighborList:
     """
 
     def __init__(self, metric, k: int):
-        if not (float(k).is_integer() and k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {k}")
+        self.k = as_number(k, "k", 1, integer=True)
         self.metric = get_metric(metric)
-        self.k = int(k)
         self.rebuilds = 0
         self.rescans = 0
         self._cand = None

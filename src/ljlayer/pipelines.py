@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import Scores, distance_score, increment_report
 from .core import LjParams, Schedule, dt_adaptive, dt_exponential, lj_step
 from .geometry import FaceCache, MeshProjector, TriangleMesh
-from .metrics import EUCLIDEAN, PERIODIC_UNIT, as_cloud, squared_norm
+from .metrics import EUCLIDEAN, PERIODIC_UNIT, as_cloud, as_number, squared_norm
 from .neighbors import NeighborList, build_index, k_nearest_all
 
 __all__ = [
@@ -84,18 +84,12 @@ class RefineWindow:
     stop: int | None
 
     def __post_init__(self):
-        if not (isinstance(self.total, (int, np.integer)) and self.total >= 0):
-            raise ValueError(f"total must be a nonnegative integer, got {self.total!r}")
+        as_number(self.total, "total", 0, integer=True)
         if (self.start is None) != (self.stop is None):
             raise ValueError("start and stop must be both set or both None")
         if self.start is not None:
-            if not (isinstance(self.start, (int, np.integer)) and isinstance(self.stop, (int, np.integer))):
-                raise ValueError("start and stop must be integers")
-            if not (1 <= self.start <= self.stop <= self.total):
-                raise ValueError(
-                    f"window must satisfy 1 <= start <= stop <= total, "
-                    f"got start={self.start}, stop={self.stop}, total={self.total}"
-                )
+            as_number(self.start, "start", 1, self.total, integer=True)
+            as_number(self.stop, "stop", self.start, self.total, integer=True)
 
     @classmethod
     def disabled(cls, total: int) -> "RefineWindow":
@@ -166,18 +160,13 @@ class RunReport:
 
 def sigma_prime(n: int) -> float:
     """Hexagonal-packing spacing estimate sqrt(2 / (sqrt(3) n)) for n points."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValueError(f"sigma_prime needs an integer point count >= 2, got {n!r}")
+    n = as_number(n, "n", 2, integer=True)
     return math.sqrt(2.0 / (math.sqrt(3.0) * n))
 
 
 def _check_stop(tol, max_iter):
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    as_number(tol, "tol", 0)
+    as_number(max_iter, "max_iter", 0, integer=True)
 
 
 def _lj_params(n: int, params, multiplier: float) -> LjParams:
@@ -185,8 +174,7 @@ def _lj_params(n: int, params, multiplier: float) -> LjParams:
     its k must leave k neighbors among n points."""
     if params is None:
         params = LjParams(epsilon=2.0, sigma=sigma_prime(n) * multiplier)
-    if params.k > n - 1:
-        raise ValueError(f"k={params.k} requires at least {params.k + 1} points")
+    as_number(params.k, "k", 1, n - 1, integer=True)
     return params
 
 
@@ -254,10 +242,8 @@ def bluenoise_2d(
         boundary = Boundary.periodic()
     _check_stop(tol, max_iter)
     rng = np.random.default_rng(seed)
-    if isinstance(cloud_or_n, (int, np.integer)):
-        if cloud_or_n < 1:
-            raise ValueError(f"point count must be >= 1, got {cloud_or_n}")
-        cloud = rng.random((int(cloud_or_n), 2))
+    if np.ndim(cloud_or_n) == 0:
+        cloud = rng.random((as_number(cloud_or_n, "n", 1, integer=True), 2))
     else:
         cloud = as_cloud(cloud_or_n, (2,), "initial cloud points").copy()
     n = len(cloud)
@@ -358,16 +344,10 @@ class SurfaceRefiner:
 
     def __init__(self, surface=None, pull: float = 0.2, noise0: float = 0.05,
                  decay: float = 0.9, seed: int = 0):
-        if not 0.0 < pull <= 1.0:
-            raise ValueError(f"pull must be in (0, 1], got {pull}")
-        if not (math.isfinite(noise0) and noise0 >= 0.0):
-            raise ValueError(f"noise0 must be a finite number >= 0, got {noise0}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.surface = surface if surface is not None else UnitSphere()
-        self.pull = pull
-        self.noise0 = noise0
-        self.decay = decay
+        self.pull = as_number(pull, "pull", 0, 1, above=True)
+        self.noise0 = as_number(noise0, "noise0", 0)
+        self.decay = as_number(decay, "decay", 0, 1, above=True)
         self._rng = np.random.default_rng((seed, 1))
 
     def step(self, t: int, cloud):
@@ -484,11 +464,8 @@ class EmbedConfig:
     def __post_init__(self):
         if self.init not in ("gauss", "noisy_surface"):
             raise ValueError(f"init must be 'gauss' or 'noisy_surface', got {self.init!r}")
-        if not math.isfinite(self.init_jitter):
-            raise ValueError(f"init_jitter must be finite, got {self.init_jitter}")
-        if not 0 < self.sigma_multiplier < math.inf:
-            raise ValueError(f"sigma_multiplier must be a finite number > 0, "
-                             f"got {self.sigma_multiplier}")
+        as_number(self.init_jitter, "init_jitter")
+        as_number(self.sigma_multiplier, "sigma_multiplier", 0, above=True)
 
     def window(self) -> RefineWindow:
         return RefineWindow(self.total, self.start, self.stop)
@@ -594,9 +571,7 @@ _SWEEP_AXES = ("ss", "alpha", "beta", "alpha_denoise")
 
 def _sweep_config(axis: str, value: float, seed: int, base: EmbedConfig) -> EmbedConfig:
     if axis == "ss":
-        if not math.isfinite(value):
-            raise ValueError(f"sweep axis ss takes finite values, got {value}")
-        ss = int(round(value))
+        ss = round(as_number(value, "ss"))
         stop = base.stop if base.stop is not None else base.total
         if ss > stop:
             return replace(base, start=None, stop=None, seed=seed)
@@ -618,18 +593,18 @@ def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list
     """Paired embed runs for each (value, seed), value-major; one result row per run.
     Every config is checked first; a run that diverges fails at its own row."""
     values = list(values)
-    seeds = [int(seed) for seed in seeds]
+    seeds = [as_number(seed, "seed", 0, integer=True) for seed in seeds]
     if not values:
         raise ValueError("sweep needs at least one value")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     if base is None:
         base = EmbedConfig()
-    configs = [(float(value), _sweep_config(axis, value, seed, base))
+    configs = [(_sweep_config(axis, value, seed, base), float(value))
                for value in values for seed in seeds]
-    starts = {config.window().start for _, config in configs} - {None}
+    starts = {config.window().start for config, _ in configs} - {None}
     by_seed, rows = {}, []
-    for value, config in configs:
+    for config, value in configs:
         if config.seed not in by_seed:
             by_seed[config.seed] = _Branches(config, starts, UnitSphere(), trace=False)
         report, _ = by_seed[config.seed].compare(config)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ljlayer import analysis
 from ljlayer.analysis import (
     ANISOTROPY_FLOOR_DB,
     Scores,
@@ -142,6 +143,29 @@ def test_periodogram_validation():
         periodogram(np.array([[0.1, np.nan]]))
     with pytest.raises(ValueError):
         periodogram(np.zeros((4, 2)), fmax=0)
+
+
+def test_fmax_beyond_memory_is_rejected_before_any_allocation():
+    # the (2F+1)^2 complex grid at F = 1e9 takes 6.4e19 bytes, beyond any machine's memory
+    cloud = np.random.default_rng(4).random((16, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^fmax must be an integer in \[1, \d+\], got 1000000000$"):
+            periodogram(cloud, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_fmax_limit_falls_back_to_what_numpy_can_index(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(analysis.os, "sysconf", unknown)
+    limit = analysis._fmax_limit()
+    assert (2 * limit + 1) ** 2 * 16 <= np.iinfo(np.intp).max < (2 * limit + 3) ** 2 * 16
 
 
 # ------------------------------------------------------------- radial stats

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -301,7 +302,7 @@ def test_non_finite_parameters_exit_2(capsys):
 def test_negative_max_iter_exits_2(capsys, sphere_obj):
     for argv in (["bluenoise", "--n", "16"], ["redistribute", "--mesh", sphere_obj, "--n", "20"]):
         assert main(argv + ["--max-iter", "-1"]) == 2
-        assert "max_iter must be >= 0" in capsys.readouterr().err
+        assert "max_iter must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed"])
@@ -376,6 +377,15 @@ def test_any_value_of_a_numeric_flag_exits_0_or_2_without_a_traceback(fuzz_argv,
     assert code in (0, 2) and "Traceback" not in err.getvalue(), (code, err.getvalue())
     if name == "--sigma-mult" and code:     # named as given, not as the sigma it scales
         assert "sigma-mult" in err.getvalue() or "sigma_multiplier" in err.getvalue()
+
+
+def test_fmax_beyond_memory_exits_2_naming_fmax_the_value_and_the_limit(tmp_path, capsys):
+    geometry.write_xyz(np.random.default_rng(0).random((8, 2)), tmp_path / "c.xyz")
+    assert main(["analyze", "--cloud", str(tmp_path / "c.xyz"),
+                 "--fmax", "99999999999999999999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"ljlayer: invalid configuration: fmax must be an integer "
+                                      r"in \[1, \d+\], got 99999999999999999999\n", err), err
 
 
 @pytest.mark.parametrize("command", ["bluenoise", "redistribute", "embed"])

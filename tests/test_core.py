@@ -123,7 +123,9 @@ def test_params_validation():
     for bad in (1.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="k must be an integer"):
             LjParams(k=bad)
-    assert type(LjParams(k=2.0).k) is int and LjParams(k=2.0) == LjParams(k=2)
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1, got 2\.0"):
+        LjParams(k=2.0)
+    assert type(LjParams(k=np.int64(2)).k) is int and LjParams(k=np.int64(2)) == LjParams(k=2)
 
 
 # ---------------------------------------------------------------- schedules

@@ -199,9 +199,11 @@ def test_query_validation():
         nearest_all(build_index(np.array([[0.0, 0.0]])))
 
 
-def test_integral_float_k_is_an_integer():
+def test_integral_float_k_is_rejected():
     index = build_index(np.random.default_rng(4).random((20, 3)))
-    np.testing.assert_array_equal(k_nearest_all(index, 2.0), k_nearest_all(index, 2))
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 19\], got 2\.0"):
+        k_nearest_all(index, 2.0)
+    np.testing.assert_array_equal(k_nearest_all(index, np.int64(2)), k_nearest_all(index, 2))
 
 
 @pytest.mark.filterwarnings("error")
@@ -487,10 +489,12 @@ def test_neighbor_list_rejects_a_cloud_of_another_shape():
     assert nbrs.rebuilds == 1
 
 
-def test_neighbor_list_takes_an_integral_float_k():
+def test_neighbor_list_rejects_an_integral_float_k():
     rng = np.random.default_rng(5)
     x = rng.random((50, 2))
-    nbrs = NeighborList(EUCLIDEAN, 2.0)
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1, got 2\.0"):
+        NeighborList(EUCLIDEAN, 2.0)
+    nbrs = NeighborList(EUCLIDEAN, np.int64(2))
     assert nbrs.k == 2 and isinstance(nbrs.k, int)
     np.testing.assert_array_equal(nbrs.update(x), k_nearest_all(build_index(x), 2))
     new = x + 1e-6 * rng.standard_normal(x.shape)

@@ -91,7 +91,7 @@ def test_refine_window_validation():
         RefineWindow(100, 60, None)  # half-set window
     with pytest.raises(ValueError):
         RefineWindow(-1, None, None)
-    with pytest.raises(ValueError, match="start and stop must be integers"):
+    with pytest.raises(ValueError, match=r"start must be an integer in \[1, 10\], got 1\.5"):
         RefineWindow(10, 1.5, 3)
 
 
@@ -175,9 +175,11 @@ def test_bluenoise_counts_rescans_where_clipping_piles_points_up():
     assert periodic.knn_rescans == 0 and periodic.to_dict()["knn_rescans"] == 0
 
 
-def test_bluenoise_integral_float_k_runs_as_the_integer():
+def test_bluenoise_rejects_an_integral_float_k():
     sigma = sigma_prime(50)
-    a, ra = bluenoise_2d(50, params=LjParams(sigma=sigma, k=2.0), max_iter=3)
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1, got 2\.0"):
+        bluenoise_2d(50, params=LjParams(sigma=sigma, k=2.0), max_iter=3)
+    a, ra = bluenoise_2d(50, params=LjParams(sigma=sigma, k=np.int64(2)), max_iter=3)
     b, rb = bluenoise_2d(50, params=LjParams(sigma=sigma, k=2), max_iter=3)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ra.distance_trace, rb.distance_trace)
@@ -324,16 +326,16 @@ def test_redistribute_validation(sphere):
         redistribute_on_mesh(np.zeros((1, 3)), sphere)
     with pytest.raises(ValueError):
         redistribute_on_mesh(np.zeros((4, 2)), sphere)
-    with pytest.raises(ValueError, match="tol must be a finite number"):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0, got nan"):
         redistribute_on_mesh(sphere.vertices[:10], sphere, tol=np.nan)
-    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 0, got -5"):
         redistribute_on_mesh(sphere.vertices[:10], sphere, max_iter=-5)
 
 
 def test_non_integer_max_iter_is_rejected_up_front(sphere):
-    with pytest.raises(ValueError, match="max_iter must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match=r"max_iter must be an integer >= 0, got 2\.5"):
         bluenoise_2d(64, max_iter=2.5)
-    with pytest.raises(ValueError, match="max_iter must be an integer"):
+    with pytest.raises(ValueError, match=r"max_iter must be an integer >= 0, got 3\.0"):
         redistribute_on_mesh(sphere.vertices[:10], sphere, max_iter=3.0)
     assert bluenoise_2d(16, max_iter=np.int64(3))[1].iterations == 3
 
@@ -475,7 +477,7 @@ def test_embed_refine_validation():
         embed_refine(refiner, 10, RefineWindow.disabled(5))  # a point count is not a cloud
     with pytest.raises(ValueError):
         embed_refine(refiner, cloud10[:1], RefineWindow.disabled(5))
-    with pytest.raises(ValueError, match="requires at least 41 points"):
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 9\], got 40"):
         embed_refine(refiner, cloud10, RefineWindow.disabled(5),
                      params=LjParams(sigma=1.0, k=40))
 
@@ -515,10 +517,11 @@ def test_embed_config_window_and_params():
     assert EmbedConfig(start=None, stop=None).window() == RefineWindow.disabled(100)
     with pytest.raises(ValueError):
         EmbedConfig(init="lattice")
-    with pytest.raises(ValueError, match="init_jitter must be finite"):
+    with pytest.raises(ValueError, match="init_jitter must be a finite number, got nan"):
         EmbedConfig(init_jitter=np.nan)
     for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match=f"sigma_multiplier must be .*, got {bad}"):
+        with pytest.raises(ValueError, match=f"sigma_multiplier must be a finite number > 0, "
+                                             f"got {bad}"):
             EmbedConfig(sigma_multiplier=bad)
     with pytest.raises(ValueError):
         EmbedConfig(start=60, stop=101).window()
@@ -671,7 +674,7 @@ def test_sweep_checks_every_window_before_the_first_run(refiner_steps):
     # ss = 70 lies past stop and disables its window; ss = 30 gives the invalid
     # window (30, 60) in 50 steps, which must fail before any run
     base = EmbedConfig(n=20, total=50, start=10, stop=60)
-    with pytest.raises(ValueError, match="start=30, stop=60, total=50"):
+    with pytest.raises(ValueError, match=r"stop must be an integer in \[30, 50\], got 60"):
         run_sweep("ss", [70, 30], [0, 1], base=base)
     assert refiner_steps == []
 

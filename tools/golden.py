@@ -5,7 +5,8 @@ Each case runs in process, in a fresh temporary directory.  A CLI case runs
 wrote; a library case records the arrays and counters it returned.  Each case
 prints one line: its name, then `output:sha1` for each output (the first 12
 hex digits), so that `diff` between two checkouts names the case and the
-output that changed:
+output that changed.  A rejection case (a CLI command that must exit 2) prints
+its stderr as text instead, so the diff shows how a message changed:
 
     python tools/golden.py > change.txt
     python tools/golden.py --src ../parent/src > parent.txt
@@ -87,14 +88,36 @@ CLI_CASES = [
                             "--out d.csv"),
 ]
 
+# (name, argv) of invalid configurations; the fmax messages name this machine's limit
+REJECT_CASES = [
+    ("reject-max-iter", "bluenoise --max-iter -1"),
+    ("reject-tol", "bluenoise --n 20 --tol nan"),
+    ("reject-n", "bluenoise --n 0"),
+    ("reject-sigma-mult", "bluenoise --sigma-mult 0"),
+    ("reject-epsilon", "bluenoise --n 20 --epsilon 0"),
+    ("reject-alpha", "bluenoise --n 20 --alpha -1"),
+    ("reject-seed", "embed --seed -1"),
+    ("reject-ss", "embed --t 10 --ss 20"),
+    ("reject-tprime", "embed --n 20 --t 10 --ss 8 --tprime 5"),
+    ("reject-pull", "embed --n 20 --t 10 --pull 0"),
+    ("reject-init-jitter", "embed --n 20 --t 10 --init-jitter nan"),
+    ("reject-embed-k", "embed --n 20 --t 10 --k 20"),
+    ("reject-k", "redistribute --mesh sphere.obj --k 0"),
+    ("reject-fmax", "analyze --cloud c0.xyz --fmax 0"),
+    ("reject-fmax-huge", "analyze --cloud c0.xyz --fmax 99999999999999999999"),
+    ("reject-sweep-ss", "sweep --axis ss --values nan --seeds 1 --n 20 --t 10 --out s.csv"),
+]
 
-def run_cli(main, argv: str, root: Path) -> list[str]:
+
+def run_cli(main, argv: str, root: Path, verbatim: bool = False) -> list[str]:
+    """The case's fields; verbatim prints stderr as text rather than its sha1."""
     before = set(os.listdir(root))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv.split())
     fields = [f"exit:{code}", f"stdout:{digest(out.getvalue())}",
-              f"stderr:{digest(err.getvalue())}"]
+              f"stderr:{err.getvalue().strip()!r}" if verbatim
+              else f"stderr:{digest(err.getvalue())}"]
     for name in sorted(set(os.listdir(root)) - before):
         fields.append(f"{name}:{digest((root / name).read_bytes())}")
         os.remove(root / name)      # so the next case that writes the name counts it again
@@ -174,6 +197,8 @@ def main(argv=None) -> int:
             write_inputs(root, lj.geometry.icosphere)
             for name, argv_ in CLI_CASES:
                 print(name, *run_cli(lj.cli.main, argv_, root), flush=True)
+            for name, argv_ in REJECT_CASES:
+                print(name, *run_cli(lj.cli.main, argv_, root, verbatim=True), flush=True)
             for name, fields in itertools.chain(library_cases(lj), io_cases(lj, root)):
                 print(name, *fields, flush=True)
         finally:
