@@ -39,8 +39,6 @@ def distance_score(cloud, metric=EUCLIDEAN) -> float:
     """Mean distance from each point to its nearest neighbor."""
     metric = get_metric(metric)
     x = as_cloud(cloud)
-    if x.shape[0] < 2:
-        raise ValueError(f"distance_score needs a cloud of at least 2 points, got {x.shape[0]}")
     nn = nearest_all(build_index(x, metric))
     return float(metric.distance(x, x.take(nn, axis=0)).mean())
 
@@ -220,10 +218,9 @@ def increment_report(base: Scores, ljl: Scores) -> ScoreReport:
 
 def write_profile_csv(stats: SpectralStats, path):
     """One row per annulus under the header radius,radial_power,anisotropy_db."""
-    with open(path, "w") as fh:
-        fh.write("radius,radial_power,anisotropy_db\n")
-        for r, p, a in zip(stats.radii, stats.radial_power, stats.anisotropy_db):
-            fh.write(f"{int(r)},{p:.9g},{a:.9g}\n")
+    np.savetxt(path, np.column_stack([stats.radii, stats.radial_power, stats.anisotropy_db]),
+               fmt=("%d", "%.9g", "%.9g"), delimiter=",",
+               header="radius,radial_power,anisotropy_db", comments="")
 
 
 def write_periodogram_pgm(stats: SpectralStats, path):
@@ -233,8 +230,5 @@ def write_periodogram_pgm(stats: SpectralStats, path):
     top = levels.max()
     if top > 0:
         levels = levels / top
-    pix = np.rint(255.0 * levels).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n")
-        for row in pix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    np.savetxt(path, np.rint(255.0 * levels).astype(int), fmt="%d",
+               header=f"P2\n{grid.shape[1]} {grid.shape[0]}\n255", comments="")

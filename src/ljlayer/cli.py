@@ -19,9 +19,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import THREADS_ERROR, analysis, geometry, pipelines
+from . import THREADS_ERROR, analysis, geometry, metrics, pipelines
 from .core import LjParams, Schedule
-from .metrics import as_number
 
 
 def _load_normalized_mesh(path) -> geometry.TriangleMesh:
@@ -46,7 +45,7 @@ def _relax_command(args, n, pipeline, *inputs):
 
     Writes --out and --report; returns the cloud and the results the two share.
     """
-    as_number(args.sigma_mult, "--sigma-mult", 0, above=True)  # not as the sigma it scales
+    metrics.as_number(args.sigma_mult, "--sigma-mult", 0, above=True)  # not as the sigma it scales
     sigma = pipelines.sigma_prime(n) * args.sigma_mult if n >= 2 else None
     params = LjParams(epsilon=args.epsilon, sigma=sigma, k=args.k) if n >= 2 else None
     schedule = Schedule(alpha=args.alpha, beta=args.beta)
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bluenoise", help="rearrange 2D points into a blue-noise set")
     _add_relax_flags(p, n_default=1024, sigma_mult_default=1.0)
-    p.add_argument("--boundary", choices=("periodic", "fixed", "none"), default="periodic")
+    p.add_argument("--boundary", choices=pipelines._BOUNDARY_KINDS, default="periodic")
     p.set_defaults(func=_cmd_bluenoise)
 
     p = sub.add_parser("redistribute", help="spread points evenly over a mesh surface")
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--pull", type=float, default=0.4)
     p.add_argument("--noise0", type=float, default=22.3)
-    p.add_argument("--init", choices=("gauss", "noisy_surface"), default="gauss")
+    p.add_argument("--init", choices=pipelines._INITS, default="gauss")
     p.add_argument("--init-jitter", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare", action="store_true",
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="distance score (and noise score given a mesh)")
     p.add_argument("--cloud", required=True)
     p.add_argument("--mesh", default=None)
-    p.add_argument("--metric", choices=("euclidean", "periodic"), default="euclidean")
+    p.add_argument("--metric", choices=tuple(metrics._BY_NAME), default="euclidean")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("sweep", help="paired embed runs across one parameter axis")
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
         if THREADS_ERROR:
             raise ValueError(THREADS_ERROR)
         # numpy's rejection of a negative seed names neither flag nor value
-        as_number(getattr(args, "seed", 0), "--seed", 0, integer=True)
+        metrics.as_number(getattr(args, "seed", 0), "--seed", 0, integer=True)
         return args.func(args)
     except OSError as exc:
         print(f"ljlayer: i/o error: {exc}", file=sys.stderr)

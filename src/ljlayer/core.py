@@ -81,15 +81,11 @@ def _as_positive_r(r):
     return r
 
 
-def _maybe_scalar(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def lj_potential(r, params: LjParams):
     """Pair potential 4*eps*((sigma/r)**12 - (sigma/r)**6) at separation r > 0."""
     r = _as_positive_r(r)
     sr6 = (params.sigma / r) ** 6
-    return _maybe_scalar(4.0 * params.epsilon * (sr6 * sr6 - sr6))
+    return 4.0 * params.epsilon * (sr6 * sr6 - sr6)
 
 
 def lj_force(r, params: LjParams):
@@ -99,13 +95,12 @@ def lj_force(r, params: LjParams):
     """
     r = _as_positive_r(r)
     sr6 = (params.sigma / r) ** 6
-    return _maybe_scalar((24.0 * params.epsilon / r) * (2.0 * sr6 * sr6 - sr6))
+    return (24.0 * params.epsilon / r) * (2.0 * sr6 * sr6 - sr6)
 
 
 def clamp_distance(r, params: LjParams):
     """Clamp separations to [CLAMP_LO*sigma, CLAMP_HI*sigma]."""
-    r = np.asarray(r, dtype=float)
-    return _maybe_scalar(np.clip(r, CLAMP_LO * params.sigma, CLAMP_HI * params.sigma))
+    return np.clip(np.asarray(r, dtype=float), CLAMP_LO * params.sigma, CLAMP_HI * params.sigma)
 
 
 def dt_exponential(i, schedule: Schedule):

@@ -110,5 +110,6 @@ def get_metric(metric) -> Metric:
         return metric
     try:
         return _BY_NAME[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}; expected 'euclidean' or 'periodic'") from None
+    except (KeyError, TypeError):   # TypeError: an unhashable name
+        raise ValueError(f"unknown metric {metric!r}; expected "
+                         f"{' or '.join(map(repr, _BY_NAME))}") from None

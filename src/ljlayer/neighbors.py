@@ -159,7 +159,7 @@ def nearest_all(index: SpatialIndex):
     Distance ties go to the lowest index.
     """
     if index.n < 2:
-        raise ValueError("nearest-neighbor query needs at least 2 points")
+        raise ValueError(f"nearest-neighbor query needs at least 2 points, got {index.n}")
     return _k_nearest(index, 1)[0][:, 0]
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-_BOUNDARY_KINDS = ("none", "fixed", "periodic")
+_BOUNDARY_KINDS = ("periodic", "fixed", "none")
 
 
 @dataclass(frozen=True)
@@ -433,6 +433,9 @@ def _embed_steps(refiner, loop, window, params, alpha, beta, seed, last):
     return _relax(loop, move, range(loop.iterations + 1, last + 1), 0.0, seed)
 
 
+_INITS = ("gauss", "noisy_surface")
+
+
 @dataclass(frozen=True)
 class EmbedConfig:
     """Everything needed for one paired refiner-vs-embedded comparison.
@@ -462,8 +465,9 @@ class EmbedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.init not in ("gauss", "noisy_surface"):
-            raise ValueError(f"init must be 'gauss' or 'noisy_surface', got {self.init!r}")
+        if self.init not in _INITS:
+            raise ValueError(f"init must be {' or '.join(map(repr, _INITS))}, got {self.init!r}")
+        Schedule(self.alpha, self.beta)     # the step-size rule checks alpha and beta
         as_number(self.init_jitter, "init_jitter")
         as_number(self.sigma_multiplier, "sigma_multiplier", 0, above=True)
 
@@ -576,12 +580,10 @@ def _sweep_config(axis: str, value: float, seed: int, base: EmbedConfig) -> Embe
         if ss > stop:
             return replace(base, start=None, stop=None, seed=seed)
         return replace(base, start=max(1, ss), stop=stop, seed=seed)
-    if axis == "alpha":
-        return replace(base, alpha=float(value), seed=seed)
-    if axis == "beta":
-        return replace(base, beta=float(value), seed=seed)
+    if axis in ("alpha", "beta"):
+        return replace(base, **{axis: value}, seed=seed)
     if axis == "alpha_denoise":
-        return EmbedConfig.denoising(alpha=float(value), seed=seed)
+        return EmbedConfig.denoising(alpha=value, seed=seed)
     raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
 
 
@@ -615,9 +617,9 @@ def run_sweep(axis: str, values, seeds, base: EmbedConfig | None = None) -> list
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            cells = [str(row[col]) if col == "seed" else f"{row[col]:.9g}" for col in _SWEEP_COLUMNS]
-            fh.write(",".join(cells) + "\n")
+    # an object array keeps a seed beyond 2**53 exact; the reshape gives no rows their width
+    table = np.array([[row[col] for col in _SWEEP_COLUMNS] for row in rows], dtype=object)
+    np.savetxt(path, table.reshape(-1, len(_SWEEP_COLUMNS)), delimiter=",",
+               fmt=["%d" if col == "seed" else "%.9g" for col in _SWEEP_COLUMNS],
+               header=",".join(_SWEEP_COLUMNS), comments="")
     return path

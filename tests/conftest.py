@@ -12,7 +12,10 @@ import the same source tree as the test process, whatever their cwd.
 import os
 from pathlib import Path
 
+import pytest
+
 import ljlayer
+from ljlayer.pipelines import UnitSphere
 
 
 def _absolute_pythonpath():
@@ -25,3 +28,17 @@ def _absolute_pythonpath():
 
 
 os.environ["PYTHONPATH"] = _absolute_pythonpath()
+
+
+@pytest.fixture
+def refiner_steps(monkeypatch):
+    """Counts the toy refiner's steps: each one projects the cloud onto the unit sphere once."""
+    calls = []
+    closest = UnitSphere.closest
+
+    def counted(self, points):
+        calls.append(1)
+        return closest(self, points)
+
+    monkeypatch.setattr(UnitSphere, "closest", counted)
+    return calls

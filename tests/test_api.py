@@ -181,6 +181,9 @@ SETTINGS = {
     "sigma_multiplier": (lambda v: EmbedConfig(sigma_multiplier=v), (0, math.inf, False, True)),
     "ss": (lambda v: run_sweep("ss", [v], [0], SWEEP_BASE), (-math.inf, math.inf, False, False)),
     "seed": (lambda v: run_sweep("alpha", [0.0], [v], SWEEP_BASE), (0, math.inf, True, False)),
+    "sweep alpha": (lambda v: run_sweep("alpha", [v], [0], SWEEP_BASE),
+                    (0, math.inf, False, False)),
+    "sweep beta": (lambda v: run_sweep("beta", [v], [0], SWEEP_BASE), (0, math.inf, False, False)),
 }
 
 # (value, the number it stands for, or None where no setting may take it)
@@ -205,6 +208,15 @@ def test_every_scalar_setting_is_checked_by_one_rule(setting, token):
     else:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(value)
+
+
+@pytest.mark.parametrize("name", [["periodic"], {}, None, "toroidal"], ids=repr)
+def test_an_unknown_metric_name_is_a_value_error(name):
+    # a list or a dict cannot be a dict key, which raised TypeError
+    for call in (lambda: distance_score(X2, name), lambda: build_index(X2, name)):
+        with pytest.raises(ValueError, match=f"^unknown metric {re.escape(repr(name))}; "
+                                             "expected 'euclidean' or 'periodic'$"):
+            call()
 
 
 def test_as_number_returns_a_float_or_an_int():

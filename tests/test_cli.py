@@ -331,6 +331,20 @@ def test_sweep_without_seeds_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--axis beta --values 0.01,-1 --seeds 2", "beta must be a finite number >= 0, got -1.0"),
+    # the axis overrides --alpha in every row, yet the flag is checked too
+    ("--axis alpha --values 0.5 --seeds 1 --alpha -1",
+     "alpha must be a finite number >= 0, got -1.0"),
+], ids=["beta-values", "alpha-flag"])
+def test_bad_sweep_step_size_exits_2_before_any_refiner_step(tmp_path, capsys, refiner_steps,
+                                                             argv, message):
+    code = main(["sweep", *argv.split(), "--out", str(tmp_path / "s.csv")])
+    assert code == 2 and refiner_steps == []
+    assert capsys.readouterr().err == f"ljlayer: invalid configuration: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("values, names", [("inf", ("ss", "inf")), ("nan", ("ss", "nan")),
                                            ("1e400", ("ss", "inf")),    # parses to inf
                                            ("1,abc", ("--values", "'abc'"))])
@@ -417,7 +431,7 @@ def test_wrong_dimension_cloud_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, rows, message", [
-    ("score", "0 0\n", "distance_score needs a cloud of at least 2 points, got 1"),
+    ("score", "0 0\n", "nearest-neighbor query needs at least 2 points, got 1"),
     ("analyze", "0 0 0\n1 1 1\n", "cloud points must have shape (n, 2) with n >= 1, got (2, 3)"),
     ("bluenoise", "0 0 0\n1 1 1\n",
      "initial cloud points must have shape (n, 2) with n >= 1, got (2, 3)"),

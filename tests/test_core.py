@@ -108,6 +108,15 @@ def test_clamp_distance_window():
     )
 
 
+@pytest.mark.parametrize("function", [lj_potential, lj_force, clamp_distance])
+def test_scalar_in_float_out_and_array_in_array_out(function):
+    p = LjParams()
+    for r in (1.1, np.float64(1.1), np.asarray(1.1)):
+        assert isinstance(function(r, p), float)
+    out = function(np.array([1.1, 2.0]), p)
+    assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LjParams(epsilon=0.0)

@@ -1,6 +1,7 @@
 """Blue-noise synthesis, mesh redistribution, and the embedding harness."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -644,20 +645,6 @@ def test_branched_runs_equal_independent_runs(n, total, seed, init, noise0, trac
     assert report == expected
 
 
-@pytest.fixture
-def refiner_steps(monkeypatch):
-    """Counts the toy refiner's steps: each one projects the cloud onto the unit sphere once."""
-    calls = []
-    closest = UnitSphere.closest
-
-    def counted(self, points):
-        calls.append(1)
-        return closest(self, points)
-
-    monkeypatch.setattr(UnitSphere, "closest", counted)
-    return calls
-
-
 def test_paired_runs_share_the_refiner_only_steps(refiner_steps):
     # the refiner-only run takes 100 steps; the embedded run goes on from its
     # step 59, so it adds steps 60..100
@@ -676,6 +663,16 @@ def test_sweep_checks_every_window_before_the_first_run(refiner_steps):
     base = EmbedConfig(n=20, total=50, start=10, stop=60)
     with pytest.raises(ValueError, match=r"stop must be an integer in \[30, 50\], got 60"):
         run_sweep("ss", [70, 30], [0, 1], base=base)
+    assert refiner_steps == []
+
+
+@pytest.mark.parametrize("axis", ["alpha", "beta", "alpha_denoise"])
+@pytest.mark.parametrize("value", [None, "3", True, math.nan, -1])
+def test_sweep_checks_every_step_size_before_the_first_run(refiner_steps, axis, value):
+    # the valid 0.5 comes first, so a late check would run its rows before failing
+    name = axis.removesuffix("_denoise")
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
+        run_sweep(axis, [0.5, value], [0, 1], base=small_config(20, 10))
     assert refiner_steps == []
 
 
@@ -754,3 +751,17 @@ def test_sweep_csv_format(tmp_path):
     assert cells[0] == "0" and cells[1] == "0"
     assert cells[6] == "nan"  # alpha 0: no distance gain, undefined ratio
     float(cells[2]), float(cells[3])  # scores parse as numbers
+
+
+def test_sweep_csv_keeps_a_large_seed_and_writes_a_none_ratio_as_nan(tmp_path):
+    row = run_sweep("alpha", [0.0], seeds=[0], base=small_config(20, 10))[0]
+    assert np.isnan(row["ratio"])   # alpha 0: the report's ratio is None
+    path = write_sweep_csv([{**row, "seed": 2**63 - 1}], tmp_path / "sweep.csv")
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells[1] == "9223372036854775807" and cells[6] == "nan"   # a float would round
+
+
+def test_sweep_csv_of_no_rows_is_the_header(tmp_path):
+    path = write_sweep_csv([], tmp_path / "sweep.csv")
+    assert path.read_text() == ("value,seed,distance_score,noise_score,"
+                                "distance_increment,noise_increment,ratio\n")

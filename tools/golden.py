@@ -54,9 +54,10 @@ def write_inputs(root: Path, icosphere) -> None:
         with open(root / name, "w") as fh:
             np.savetxt(fh, mesh.vertices, fmt="v %.17g %.17g %.17g")
             np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
-    for seed in (0, 1):
+    for seed in (0, 1, 4):
         np.savetxt(root / f"c{seed}.xyz", np.random.default_rng(seed).random((64, 2)),
                    fmt="%.17g")
+    np.savetxt(root / "one.xyz", [[0.25, 0.5]], fmt="%.17g")
     np.savetxt(root / "c3d.xyz", np.random.default_rng(2).random((64, 3)), fmt="%.17g")
     np.savetxt(root / "cube.xyz", np.random.default_rng(3).uniform(-1, 1, (300, 3)),
                fmt="%.17g")
@@ -86,6 +87,8 @@ CLI_CASES = [
     ("sweep-beta", "sweep --axis beta --values 0.01,0.1 --seeds 1 --n 20 --t 20 --out b.csv"),
     ("sweep-alpha-denoise", "sweep --axis alpha_denoise --values 0.3 --seeds 1 --n 20 "
                             "--out d.csv"),
+    ("analyze-three", "analyze --cloud c0.xyz --cloud c1.xyz --cloud c4.xyz --fmax 12 "
+                      "--csv p3.csv --pgm s3.pgm"),
 ]
 
 # (name, argv) of invalid configurations; the fmax messages name this machine's limit
@@ -106,6 +109,10 @@ REJECT_CASES = [
     ("reject-fmax", "analyze --cloud c0.xyz --fmax 0"),
     ("reject-fmax-huge", "analyze --cloud c0.xyz --fmax 99999999999999999999"),
     ("reject-sweep-ss", "sweep --axis ss --values nan --seeds 1 --n 20 --t 10 --out s.csv"),
+    ("reject-score-one-point", "score --cloud one.xyz"),
+    ("reject-sweep-beta", "sweep --axis beta --values 0.01,-1 --seeds 2 --n 20 --t 10 "
+                          "--out b.csv"),
+    ("reject-compare-alpha", "embed --compare --alpha -1"),
 ]
 
 
