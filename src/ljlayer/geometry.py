@@ -268,6 +268,13 @@ class MeshProjector:
                                for v in (self._b, self._c)))
         self._centroids = centroids.T.copy()    # one coordinate per row
         self._normals = normals.T.copy()
+        # each edge's in-plane outward unit normal e and offset e.a; _slack adds their rounding
+        corners = self._a, self._b, self._c
+        edges = [np.cross(corners[k - 2] - corners[k], normals) for k in range(3)]
+        self._edges = [(e, _dot(e, a)) for e, a in
+                       zip((e / np.sqrt(squared_norm(e))[:, None] for e in edges), corners)]
+        self._slack = self._miss + max(float((_dot(e, v) - o).max())
+                                       for e, o in self._edges for v in corners)
 
     def project(self, points):
         """Closest surface points for a batch; returns (points, faces, distances)."""
@@ -315,8 +322,9 @@ class MeshProjector:
             rows, k = rows[~ok], min(2 * k, self.n_faces)
         return (*out, tests, *first)
 
-    def _best(self, q, cand):
-        """Closest point of each row's candidate faces: (points, faces, distances, tests).
+    def _best(self, q, cand, cap=None):
+        """Closest point of each row's candidate faces: (points, faces, distances, tests),
+        and given cap, a bound no greater than it on every candidate's distance but the winner's.
 
         Each row's seed is the candidate with the nearest centroid; its exact
         distance u bounds the winner's from above.  A face's plane distance
@@ -324,10 +332,10 @@ class MeshProjector:
         rounded plane misses its own face's vertices by (1e-16 on well-shaped
         faces, up to about 1e-10 on skinny ones).  A face whose plane lies
         beyond u, with that slack and the tie guards, can neither win nor tie,
-        so only the seed and the faces it keeps get the exact test; tests
-        counts them.  Rows ascend by face id, so argmin's first minimum over
-        the tested columns is the (distance, face id) winner of a scan over
-        them all.
+        nor can one whose centroid lies beyond that plus reach, so only the seed
+        and the faces left get the exact test; tests counts them.  Rows ascend
+        by face id, so argmin's first minimum over the tested columns is the
+        (distance, face id) winner of a scan over them all.
         """
         rows = np.arange(len(q))
         qj = [q[:, j, None] for j in range(3)]
@@ -337,16 +345,36 @@ class MeshProjector:
         bound = np.sqrt(seed_d2) * (1.0 + TIE_GUARD) + _TINY + self._miss
         nx, ny, nz = (n.take(cand) for n in self._normals)
         plane = np.abs((0.0 + nx * qj[0]) + ny * qj[1] + nz * qj[2] - self._offsets.take(cand))
-        keep = plane <= bound[:, None]
+        far = ((bound + self._reach) * (1.0 + TIE_GUARD) + _TINY) ** 2
+        keep = (plane <= bound[:, None]) & (c2 <= far[:, None])
         keep[rows, seed_col] = False
         kr, kc = np.nonzero(keep)
         cp, kept_d2 = self._exact(cand[kr, kc], q.take(kr, axis=0))
         d2 = np.full(cand.shape, np.inf)
         d2[rows, seed_col], d2[kr, kc] = seed_d2, kept_d2
-        pts = np.empty(cand.shape + (3,))
-        pts[rows, seed_col], pts[kr, kc] = seed_cp, cp
         col = np.argmin(d2, axis=1)
-        return pts[rows, col], cand[rows, col], np.sqrt(d2[rows, col]), len(q) + len(kr)
+        won = kc == col[kr]     # the kept test that wins its row, if one does
+        seed_cp[kr[won]] = cp[won]
+        best = seed_cp, cand[rows, col], np.sqrt(d2[rows, col]), len(q) + len(kr)
+        if cap is None:
+            return best
+        # every face but the winner lies plane - _slack away, and _bound where that is below
+        # cap; not its tested distance, which on a skinny face can come out too far
+        plane[rows, col] = np.inf
+        br, bc = np.nonzero(plane - self._slack < cap[:, None])
+        lb = cap.copy()
+        np.minimum.at(lb, br, self._bound(cand[br, bc], q.take(br, axis=0), plane[br, bc]))
+        return *best, lb
+
+    def _bound(self, fid, p, plane):
+        """Lower bounds on the distances of faces fid from the rows of p, whose planes
+        lie plane away: each face lies inside its edges' half-spaces, up to _slack."""
+        out = np.maximum(self._outside(fid, p), 0.0)
+        return np.sqrt(plane * plane + out * out) - self._slack
+
+    def _outside(self, fid, p):
+        """How far the rows of p lie outside the edges of faces fid (< 0 inside them)."""
+        return np.maximum.reduce([_dot(e.take(fid, axis=0), p) - o.take(fid) for e, o in self._edges])
 
     def _exact(self, fid, p):
         """Closest points of faces fid to the rows of p, and their squared distances."""
@@ -365,8 +393,11 @@ class FaceCache:
     returns what `projector.project(q)` returns, bit for bit: every face
     outside cand lies farther than rho - reach - |q - q0|, so the projector's
     certificate holds for a row whose best face in cand lies below that, and
-    other rows are queried fresh.  `requeries` counts those, and `face_tests`
-    the exact triangle tests of every `project` call.
+    other rows are queried fresh.  A row certified so keeps its winner w, the
+    point qw it was scored at and a bound lb on every other face's distance
+    from qw; while lb - |q - qw| certifies w, w's test alone projects the row.
+    `requeries` counts the fresh queries and `face_tests` the exact triangle
+    tests of every `project` call.
     """
 
     def __init__(self, projector: MeshProjector, points):
@@ -376,7 +407,8 @@ class FaceCache:
         self.face_tests = 0
         *entry, _, self._cand, self._rho = projector._fresh(q)
         self.entry = tuple(entry)
-        self._q0 = q.copy()
+        self._q0, self._qw = q.copy(), q.copy()
+        self._w, self._lb = entry[1].copy(), np.full(len(q), -np.inf)
 
     def project(self, rows, points):
         """Project `points`, the new positions of the cache rows `rows` (a 1-D
@@ -389,28 +421,45 @@ class FaceCache:
         if rows.min() < 0 or rows.max() >= len(self._q0):
             raise ValueError(f"rows must lie in [0, {len(self._q0)}), got ids from "
                              f"{rows.min()} to {rows.max()}")
-        with np.errstate(over="ignore"):    # an overflow leaves no room: a fresh query names it
-            moved = np.sqrt(squared_norm(q - self._q0.take(rows, axis=0)))
-        # from q, every face outside a row's candidates lies farther than room
-        room = self._rho.take(rows) - self.projector._reach - moved
-        live = np.flatnonzero(room > _TINY)     # no other row can be certified
-        *best, tests = self.projector._best(q.take(live, axis=0),
-                                            self._cand.take(rows[live], axis=0))
-        self.face_tests += tests
-        ok = np.zeros(len(q), dtype=bool)
-        ok[live] = _certified(best[2], room.take(live))
+        proj, todo = self.projector, np.ones(len(q), dtype=bool)
         out = np.empty_like(q), np.empty(len(q), dtype=np.intp), np.empty(len(q))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves no room
+            step = np.sqrt(squared_norm(q - self._qw.take(rows, axis=0)))
+            left = self._lb.take(rows) - step
+            room = self._rho.take(rows) - proj._reach - np.sqrt(
+                squared_norm(q - self._q0.take(rows, axis=0)))
+        # first the last winner w alone: every other face lies farther than left
+        idx = np.flatnonzero(left > _TINY)
+        w = self._w.take(rows[idx])
+        cp, d2 = proj._exact(w, q.take(idx, axis=0))
+        self.face_tests += idx.size
+        ok = _certified(np.sqrt(d2), left[idx])
+        for o, b in zip(out, (cp, w, np.sqrt(d2))):
+            o[idx[ok]] = b[ok]
+        todo[idx[ok]] = False
+        # then the table: every face outside it lies farther than room.  lb is kept only
+        # where q lies deeper inside w than its last step: a next such step would use it up
+        idx = np.flatnonzero(todo & (room > _TINY))
+        r, p = rows[idx], q.take(idx, axis=0)
+        cap = np.where(-proj._outside(self._w.take(r), p) > step[idx], room[idx], -np.inf)
+        *best, tests, lb = proj._best(p, self._cand.take(r, axis=0), cap)
+        self.face_tests += tests
+        ok = _certified(best[2], room[idx])
         for o, b in zip(out, best):
-            o[ok] = b[ok[live]]
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            self.requeries += bad.size
-            fresh_q = q.take(bad, axis=0)
-            *fresh, tests, cand, rho = self.projector._fresh(fresh_q)
-            self._q0[rows[bad]], self._cand[rows[bad]], self._rho[rows[bad]] = fresh_q, cand, rho
+            o[idx[ok]] = b[ok]
+        todo[idx[ok]] = False
+        self._qw[r[ok]], self._w[r[ok]], self._lb[r[ok]] = p[ok], best[1][ok], lb[ok]
+        idx = np.flatnonzero(todo)      # a fresh query for the rest
+        if idx.size:
+            self.requeries += idx.size
+            fresh_q = q.take(idx, axis=0)
+            *fresh, tests, cand, rho = proj._fresh(fresh_q)
+            r = rows[idx]       # w alone must not answer for a row its new table would refuse
+            self._q0[r], self._cand[r], self._rho[r] = fresh_q, cand, rho
+            self._qw[r], self._w[r], self._lb[r] = fresh_q, fresh[1], -np.inf
             self.face_tests += tests
             for o, b in zip(out, fresh):
-                o[bad] = b
+                o[idx] = b
         return out
 
 

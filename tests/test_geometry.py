@@ -13,6 +13,7 @@ from ljlayer.geometry import (
     FaceCache,
     MeshProjector,
     TriangleMesh,
+    _TINY,
     _certified,
     _closest_on_triangles,
     _dot,
@@ -24,7 +25,7 @@ from ljlayer.geometry import (
     save_obj,
     write_xyz,
 )
-from ljlayer.metrics import squared_norm
+from ljlayer.metrics import TIE_GUARD, squared_norm
 
 
 def closest_on_triangle_reference(a, b, c, p):
@@ -354,7 +355,7 @@ SLAB = _slab()
 
 
 @settings(max_examples=100, deadline=None)
-@given(mesh=st.sampled_from(["sphere", "tent", "triangle", "slab"]),
+@given(mesh=st.sampled_from(["sphere", "tent", "triangle", "slab", "fan", "lean"]),
        kind=st.sampled_from(["surface", "around", "center", "ridge"]),
        n=st.integers(1, 40),
        scales=st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.02, 0.1, 0.2, 0.5, 3.0]),
@@ -368,12 +369,13 @@ SLAB = _slab()
 def test_face_cache_matches_a_fresh_projection_after_drifts(mesh, kind, n, scales, seed):
     # "around" reaches the vertex and edge regions of each triangle; "center"
     # starts deep inside the sphere or under the slab's small faces, where
-    # rows outgrow the first table; "ridge" keeps x = 0, so the tent's two
-    # roof faces tie exactly; drifts near the size of a face leave the
+    # rows outgrow the first table; "ridge" keeps x = 0, so the two roof faces
+    # of the tent and of the lean roof tie exactly; the fan's faces are about
+    # 1e6 times longer than wide; drifts near the size of a face leave the
     # certified region of some rows and not of others.  In the last example
     # one certified row's winner has its centroid farther from where the row
     # started than the nearest centroid plus reach, but within its 12-face table
-    m = {"sphere": SPHERE, "tent": TENT, "triangle": TRIANGLE, "slab": SLAB}[mesh]
+    m = MESHES[mesh]
     proj = MeshProjector(m)
     rng = np.random.default_rng(seed)
     lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
@@ -542,6 +544,93 @@ def test_face_tests_count_one_per_scored_row_at_face_centroids():
     inside = q[[0]] - 0.2 * mesh.face_normals[[0]]      # room 0.09 < 0.2: scored, then fresh
     cache.project(np.array([0]), inside)
     assert cache.requeries == 3 and cache.face_tests == 8
+
+
+@pytest.mark.parametrize("mesh, size, one_test", [("sphere", 0.02, True), ("tent", 0.02, True),
+                                                  ("fan", 0.02, False), ("fan", 2e-7, True)])
+def test_face_cache_matches_a_fresh_projection_over_a_long_decaying_run(mesh, size, one_test):
+    # steps shrink by 0.9 each time, as redistribute_on_mesh's do, so rows come
+    # to be projected by their last winner's test alone, except on the fan with
+    # steps far wider than its faces (1e6 times longer than wide): 2e-7 keeps
+    # its points within a face's width.  The tent's points keep x = 0, where its
+    # two roof faces tie exactly.  On the fan, a certificate that took a tested
+    # face's distance for a bound on it would return a wrong face
+    m = MESHES[mesh]
+    proj = MeshProjector(m)
+    rng = np.random.default_rng(5)
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+    q = proj.project(rng.uniform(lo - 0.2, hi + 0.2, (60, 3)))[0]
+    ridge = np.array([mesh != "tent", True, True])
+    q *= ridge
+    cache = FaceCache(proj, q)
+    for t in range(40):
+        rows = np.flatnonzero(rng.random(len(q)) < 0.7)
+        q[rows] += size * 0.9 ** t * rng.standard_normal((rows.size, 3)) * ridge
+        for g, w in zip(cache.project(rows, q[rows]), proj.project(q[rows])):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert np.isfinite(cache._lb).any() == one_test     # rows were certified one test each
+
+
+def test_settled_rows_take_about_one_triangle_test_each():
+    # on icosphere(3) (edges about 0.15 long), once points drift by 1e-4 a step
+    # only rows within about that of an edge of their face need their table.
+    # The points start spread over the faces: a point that starts on an edge, as
+    # many projected from outside do, ties with the face across it for good
+    proj = MeshProjector(icosphere(3))
+    rng = np.random.default_rng(9)
+    d = rng.standard_normal((1000, 3))
+    q = proj.project(d / np.linalg.norm(d, axis=1)[:, None])[0]
+    rows = np.arange(len(q))
+    cache = FaceCache(proj, q)
+    for t in range(15):
+        tests = cache.face_tests
+        q = cache.project(rows, q + 1e-4 * rng.standard_normal(q.shape) / np.sqrt(3))[0]
+        if t >= 10:
+            assert cache.face_tests - tests <= 1.1 * len(rows)
+
+
+def test_a_row_queried_fresh_drops_its_winner_certificate():
+    # its last winner alone must not answer for a row that its new table would
+    # refuse, so face_requeries counts what the tables alone would: the row is
+    # scored on its table at a centroid, queried fresh on the far side and
+    # brought back, where its old bound still covers its old winner
+    proj = MeshProjector(icosphere(3))
+    a = proj.mesh.vertices[proj.mesh.faces[0]].mean(axis=0, keepdims=True)
+    cache = FaceCache(proj, a)
+    for p in (a, -a, a):
+        cache.project(np.array([0]), p)
+    assert cache.requeries == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=st.sampled_from(sorted(MESHES)), kind=st.sampled_from(["vertex", "edge", "far"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_edge_bound_never_exceeds_the_distance(mesh, kind, seed):
+    # _bound is what FaceCache's certificate assumes of every face but the
+    # winner; it is checked against each face's exact test, near the vertices
+    # and edges where its half-spaces meet, and 1e6 out, where rounding grows.
+    # It may exceed the test by the few ulps that the certificate's guards absorb
+    m = MESHES[mesh]
+    proj = MeshProjector(m)
+    rng = np.random.default_rng(seed)
+    tri = m.vertices[m.faces]
+    f = rng.integers(len(tri), size=40)
+    k = rng.integers(3, size=40)
+    if kind == "vertex":
+        p = tri[f, k]
+    elif kind == "edge":
+        t = rng.random((40, 1))
+        p = t * tri[f, k] + (1 - t) * tri[f, (k + 1) % 3]
+    else:
+        p = rng.standard_normal((40, 3)) * 1e6
+    step = rng.standard_normal((40, 3))
+    p = p + step / np.linalg.norm(step, axis=1)[:, None] * 10.0 ** rng.uniform(-12, 0, (40, 1))
+    fid = np.tile(np.arange(len(tri)), len(p))
+    p = np.repeat(p, len(tri), axis=0)
+    plane = np.abs(_dot(m.face_normals[fid], p) - proj._offsets[fid])
+    cp = _closest_on_triangles(proj._a[fid], proj._b[fid], proj._c[fid], p)
+    d = np.sqrt(squared_norm(p - cp))
+    assert (proj._bound(fid, p, plane) <= d * (1.0 + TIE_GUARD) + _TINY).all()
 
 
 def test_rho_bounds_every_centroid_outside_the_table():

@@ -6,7 +6,9 @@ wrote; a library case records the arrays and counters it returned.  Each case
 prints one line: its name, then `output:sha1` for each output (the first 12
 hex digits), so that `diff` between two checkouts names the case and the
 output that changed.  A rejection case (a CLI command that must exit 2) prints
-its stderr as text instead, so the diff shows how a message changed:
+its stderr as text instead, so the diff shows how a message changed.  A
+`--report` file prints its work counters (COUNTERS) as text and hashes the rest
+of the report, so a change that only moves a counter shows as those fields:
 
     python tools/golden.py > change.txt
     python tools/golden.py --src ../parent/src > parent.txt
@@ -26,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import sys
 import tempfile
@@ -45,6 +48,24 @@ def digest(*parts) -> str:
             h.update(f"{a.dtype}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:12]
+
+
+# RunReport fields that count work done, not results
+COUNTERS = ("face_requeries", "face_tests", "gated_out", "knn_rebuilds", "knn_rescans")
+
+
+def file_fields(name: str, data: bytes) -> list[str]:
+    """The sha1 of a written file; a run report's is taken without its COUNTERS,
+    which follow as text.  A report that json.dumps does not write back byte for
+    byte is hashed whole."""
+    try:
+        report = json.loads(data)
+    except ValueError:
+        report = None
+    if not isinstance(report, dict) or (json.dumps(report, sort_keys=True) + "\n").encode() != data:
+        return [f"{name}:{digest(data)}"]
+    counters = [f"{name}.{key}:{report.pop(key)}" for key in COUNTERS if key in report]
+    return [f"{name}:{digest(json.dumps(report, sort_keys=True))}", *counters]
 
 
 def write_inputs(root: Path, icosphere) -> None:
@@ -126,7 +147,7 @@ def run_cli(main, argv: str, root: Path, verbatim: bool = False) -> list[str]:
               f"stderr:{err.getvalue().strip()!r}" if verbatim
               else f"stderr:{digest(err.getvalue())}"]
     for name in sorted(set(os.listdir(root)) - before):
-        fields.append(f"{name}:{digest((root / name).read_bytes())}")
+        fields += file_fields(name, (root / name).read_bytes())
         os.remove(root / name)      # so the next case that writes the name counts it again
     return fields
 
@@ -158,6 +179,21 @@ def library_cases(lj):
             steps.append(digest(*cache.project(rows, q[rows])))
         yield f"facecache-ico{sub}", [f"out:{digest(*steps)}", f"requeries:{cache.requeries}",
                                       f"face_tests:{cache.face_tests}"]
+    # 60 steps as redistribute_on_mesh takes them on the mesh workload's schedule: moves of
+    # about a tenth of dt = 0.2 exp(-0.05 t) from points on the surface, projected back
+    proj = geometry.MeshProjector(geometry.icosphere(3))
+    rng = np.random.default_rng(15)
+    q = proj.project(rng.uniform(-1.2, 1.2, (400, 3)))[0]
+    cache, schedule = geometry.FaceCache(proj, q), lj.core.Schedule(alpha=0.2, beta=0.05)
+    steps = [digest(*cache.entry)]
+    for t in range(60):
+        rows = np.flatnonzero(rng.random(len(q)) < 0.7)
+        move = 0.06 * lj.core.dt_exponential(t, schedule) * rng.standard_normal((rows.size, 3))
+        out = cache.project(rows, q[rows] + move)
+        q[rows] = out[0]
+        steps.append(digest(*out))
+    yield "facecache-long", [f"out:{digest(*steps)}", f"requeries:{cache.requeries}",
+                             f"face_tests:{cache.face_tests}"]
     rng = np.random.default_rng(20)
     for metric, x in (("euclidean", np.round(rng.random((300, 2)) * 8) / 8),     # ties
                       ("periodic", np.mod(rng.random((300, 2)) * 0.1 - 0.05, 1.0))):  # the seam
@@ -193,6 +229,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import ljlayer.analysis
     import ljlayer.cli
+    import ljlayer.core
     import ljlayer.geometry
     import ljlayer.neighbors
     lj = ljlayer
